@@ -5,6 +5,7 @@ that takes --seed is bit-reproducible end to end.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -42,21 +43,18 @@ EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2
 
 IMAGE_SUFFIXES = (".png", ".ppm")
 
-MODEL_KEYS = ("channels", "blocks", "d")
-TRAIN_KEYS = (
-    "lr0",
-    "weight_decay",
-    "batch_size",
-    "steps",
-    "crop_size",
-    "loss",
-    "lambda_raw",
-    "w_percep",
-    "seed",
-    "hflip",
-    "vflip",
-    "eval_every",
-)
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+# config-file key -> field type; model and training keys share one file
+FIELD_TYPES = {
+    f.name: f.type for cls in (IATConfig, TrainConfig) for f in dataclasses.fields(cls)
+}
+# the JSON values each field type takes, and how an error names them
+JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
 class UsageError(Exception):
@@ -84,19 +82,21 @@ def _load_json_config(path) -> dict:
         raise UsageError(f"cannot read config {path}: {e}") from None
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - set(MODEL_KEYS) - set(TRAIN_KEYS)
+    unknown = set(cfg) - set(FIELD_TYPES)
     if unknown:
         raise UsageError(f"config {path} has unknown keys: {sorted(unknown)}")
-    return cfg
+    for key, value in cfg.items():
+        typ = FIELD_TYPES[key]
+        accepted, name = JSON_TYPES[typ]
+        # bool is an int subclass, so it is ruled in or out on its own
+        if not isinstance(value, accepted) or isinstance(value, bool) != (typ is bool):
+            raise UsageError(f"config {path}: {key} must be {name}, got {json.dumps(value)}")
+    return {key: FIELD_TYPES[key](value) for key, value in cfg.items()}
 
 
-def _model_config(cfg: dict) -> IATConfig:
-    base = IATConfig()
-    return IATConfig(
-        channels=int(cfg.get("channels", base.channels)),
-        blocks=int(cfg.get("blocks", base.blocks)),
-        d=int(cfg.get("d", base.d)),
-    )
+def _from_keys(cls, values: dict):
+    """`cls` with the fields `values` names; the rest keep their defaults."""
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
 def _parse_resolution(text: str) -> tuple[int, int]:
@@ -218,26 +218,9 @@ def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
 
 def cmd_train(args) -> int:
     file_cfg = _load_json_config(args.config) if args.config else {}
-    base = TrainConfig()
-    merged = {k: file_cfg.get(k, getattr(base, k)) for k in TRAIN_KEYS}
-    for key in TRAIN_KEYS:  # flags win over the config file
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    cfg = TrainConfig(
-        lr0=float(merged["lr0"]),
-        weight_decay=float(merged["weight_decay"]),
-        batch_size=int(merged["batch_size"]),
-        steps=int(merged["steps"]),
-        crop_size=int(merged["crop_size"]),
-        loss=str(merged["loss"]),
-        lambda_raw=float(merged["lambda_raw"]),
-        w_percep=float(merged["w_percep"]),
-        seed=int(merged["seed"]),
-        hflip=bool(merged["hflip"]),
-        vflip=bool(merged["vflip"]),
-        eval_every=int(merged["eval_every"]),
-    )
+    # flags win over the config file
+    flags = {k: getattr(args, k) for k in TRAIN_KEYS if getattr(args, k, None) is not None}
+    cfg = _from_keys(TrainConfig, {**file_cfg, **flags})
     try:
         cfg.validate()
     except ConfigurationError as e:
@@ -247,7 +230,7 @@ def cmd_train(args) -> int:
     if not samples:
         raise UsageError(f"no input_*/target_* pairs found in {args.data}")
 
-    model_cfg = _model_config(file_cfg)
+    model_cfg = _from_keys(IATConfig, file_cfg)
     params = None
     start_step = 0
     if args.resume:
@@ -311,7 +294,7 @@ def cmd_info(args) -> int:
         params, step = load_checkpoint(args.checkpoint)
         print(f"checkpoint step: {step}")
     else:
-        params = iat_init(_model_config(_load_json_config(args.config)), rng=philox(0))
+        params = iat_init(_from_keys(IATConfig, _load_json_config(args.config)), rng=philox(0))
     cfg = params.config
     print(f"config: channels={cfg.channels} blocks={cfg.blocks} d={cfg.d}")
     report = count_params(params)

@@ -39,11 +39,11 @@ class IATConfig:
     d: int = 80  # attention width
 
     def to_dict(self):
-        return {"channels": self.channels, "blocks": self.blocks, "d": self.d}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(channels=int(d["channels"]), blocks=int(d["blocks"]), d=int(d["d"]))
+        return cls(**{f.name: f.type(d[f.name]) for f in dataclasses.fields(cls)})
 
 
 @dataclass
@@ -75,9 +75,9 @@ def iat_forward(
     """
     maps = local_branch_forward(img, p.local)
     gp = gpm_forward(encoder_forward(img, p.encoder), p.gpm)
-    f_out = img * maps.gain + maps.offset
+    f_out = img * maps.gain + maps.offset if want_intermediate else None
     out = compose_iat(img, maps.gain, maps.offset, gp)
-    return out, (f_out if want_intermediate else None)
+    return out, f_out
 
 
 def iat_forward_local(img: Tensor, p: IATParams) -> Tensor:

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over dense float tensors.
 
 The operation set is exactly what the enhancement model and its losses need:
-broadcast elementwise arithmetic, direct 2-d convolution (grouped/depthwise),
+broadcast elementwise arithmetic, direct 2-d convolution (full and depthwise),
 matmul, a clamped power op, a small activation zoo, softmax, reductions, and
 shape bookkeeping (reshape/transpose/slice).
 
@@ -311,24 +311,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # convolution (direct shift-and-add; no im2col, no FFT)
 
 
-def _conv_accum_fwd(w_off, xs, groups, cout):
-    """One kernel-offset contribution, returned as (Cout, N, Ho, Wo)."""
-    n = xs.shape[0]
-    if groups == 1:
-        return np.tensordot(w_off, xs, axes=([1], [1]))
-    cin = xs.shape[1]
-    if groups == cin and cout == cin:  # depthwise
-        return w_off[:, 0, None, None, None] * xs.transpose(1, 0, 2, 3)
-    cpg = cin // groups
-    dpg = cout // groups
-    out = np.empty((cout, n) + xs.shape[2:], dtype=xs.dtype)
-    for gi in range(groups):
-        wg = w_off[gi * dpg : (gi + 1) * dpg]
-        xg = xs[:, gi * cpg : (gi + 1) * cpg]
-        out[gi * dpg : (gi + 1) * dpg] = np.tensordot(wg, xg, axes=([1], [1]))
-    return out
-
-
 def conv2d(
     x: Tensor,
     w: Tensor,
@@ -339,15 +321,18 @@ def conv2d(
 ) -> Tensor:
     """2-d convolution on NCHW input with [Cout, Cin/groups, kh, kw] weights.
 
-    Symmetric zero padding; groups=Cin with Cout=Cin is the depthwise case.
+    Two kinds, each with one code path at any batch size: full (groups=1)
+    and depthwise (groups=Cin=Cout, weights [C, 1, kh, kw]). Any other
+    `groups` raises ConfigurationError. Padding is symmetric and zero.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
     n, cin, h, wdt = x.shape
     cout, cpg, kh, kw = w.shape
-    if groups < 1 or cin % groups or cout % groups:
+    if groups != 1 and not groups == cin == cout:
         raise ConfigurationError(
-            f"groups={groups} must divide both Cin={cin} and Cout={cout}"
+            f"groups={groups} is neither 1 (full) nor Cin=Cout (depthwise) "
+            f"for Cin={cin}, Cout={cout}"
         )
     if cpg != cin // groups:
         raise ConfigurationError(
@@ -362,40 +347,39 @@ def conv2d(
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wdt}"
         )
 
+    depthwise = groups != 1
     if padding:
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    depthwise1 = groups == cin and cout == cin and n == 1
-    acc = None  # (Cout, N, Ho, Wo), or (C, Ho, Wo) on the depthwise fast path
-    tmp = None
-    for dy in range(kh):
-        for dx in range(kw):
-            xs = xp[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride]
-            if depthwise1:
-                wc = w.data[:, 0, dy, dx][:, None, None]
-                if acc is None:
-                    acc = wc * xs[0]
-                    tmp = np.empty_like(acc)
-                else:
-                    np.multiply(wc, xs[0], out=tmp)
-                    acc += tmp
-            else:
-                contrib = _conv_accum_fwd(w.data[:, :, dy, dx], xs, groups, cout)
-                if acc is None:
-                    acc = contrib
-                else:
-                    acc += contrib
-    if n == 1:
-        data = acc.reshape(1, cout, ho, wo)  # same buffer order, no copy
+    # (dy, dx, window of xp that tap reads), shared by forward and backward
+    taps = [
+        (dy, dx, np.s_[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride])
+        for dy in range(kh)
+        for dx in range(kw)
+    ]
+
+    if depthwise:
+        # accumulate straight into NCHW; tmp is reused so taps allocate nothing
+        wc = w.data[:, 0, :, :, None, None]  # (C, kh, kw, 1, 1)
+        (dy, dx, sl), *rest = taps
+        data = wc[:, dy, dx] * xp[sl]
+        tmp = np.empty_like(data)
+        for dy, dx, sl in rest:
+            np.multiply(wc[:, dy, dx], xp[sl], out=tmp)
+            data += tmp
     else:
+        # one gemm per tap into (Cout, N, Ho, Wo); moving N back is free at N=1
+        contribs = (
+            np.tensordot(w.data[:, :, dy, dx], xp[sl], axes=([1], [1]))
+            for dy, dx, sl in taps
+        )
+        acc = next(contribs)
+        for c in contribs:
+            acc += c
         data = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
     if bias is not None:
         data += bias.data[None, :, None, None]
-
-    pointwise1 = (
-        kh == 1 and kw == 1 and stride == 1 and padding == 0 and groups == 1 and n == 1
-    )
 
     def make_rule(out):
         def rule(g):
@@ -405,73 +389,26 @@ def conv2d(
             need_w = w.requires_grad
             if not (need_x or need_w):
                 return
-            if pointwise1:  # plain gemms, no padding/slicing bookkeeping
-                g2 = g[0].reshape(cout, ho * wo)
-                if need_w:
-                    x2 = x.data[0].reshape(cin, ho * wo)
-                    _accumulate(w, (g2 @ x2.T).reshape(w.data.shape))
-                if need_x:
-                    w2 = w.data[:, :, 0, 0]
-                    _accumulate(x, (w2.T @ g2).reshape(x.data.shape))
-                return
             gxp = np.zeros_like(xp) if need_x else None
             gw = np.zeros_like(w.data) if need_w else None
-            cpg_ = cin // groups
-            dpg = cout // groups
-            tmp = None
-            for dy in range(kh):
-                for dx in range(kw):
-                    sl = (
-                        slice(None),
-                        slice(None),
-                        slice(dy, dy + stride * ho, stride),
-                        slice(dx, dx + stride * wo, stride),
-                    )
-                    if depthwise1:
-                        g0 = g[0]
-                        if need_w:
-                            xs0 = xp[(0,) + sl[1:]]
-                            if tmp is None:
-                                tmp = np.empty_like(g0)
-                            np.multiply(g0, xs0, out=tmp)
-                            gw[:, 0, dy, dx] = tmp.sum(axis=(1, 2))
-                        if need_x:
-                            gxp[(0,) + sl[1:]] += w.data[:, 0, dy, dx][:, None, None] * g0
-                        continue
+            if depthwise:
+                tmp = np.empty_like(g) if need_w else None
+                for dy, dx, sl in taps:
                     if need_w:
-                        xs = xp[sl]
-                        if groups == 1:
-                            gw[:, :, dy, dx] = np.tensordot(
-                                g, xs, axes=([0, 2, 3], [0, 2, 3])
-                            )
-                        elif groups == cin and cout == cin:
-                            gw[:, 0, dy, dx] = (g * xs).sum(axis=(0, 2, 3))
-                        else:
-                            for gi in range(groups):
-                                gw[gi * dpg : (gi + 1) * dpg, :, dy, dx] = np.tensordot(
-                                    g[:, gi * dpg : (gi + 1) * dpg],
-                                    xs[:, gi * cpg_ : (gi + 1) * cpg_],
-                                    axes=([0, 2, 3], [0, 2, 3]),
-                                )
+                        np.multiply(g, xp[sl], out=tmp)
+                        gw[:, 0, dy, dx] = tmp.sum(axis=(0, 2, 3))
                     if need_x:
-                        wo_ = w.data[:, :, dy, dx]
-                        if groups == 1:
-                            gxp[sl] += np.moveaxis(
-                                np.tensordot(wo_, g, axes=([0], [1])), 0, 1
-                            )
-                        elif groups == cin and cout == cin:
-                            gxp[sl] += wo_[None, :, 0, None, None] * g
-                        else:
-                            for gi in range(groups):
-                                gxp[sl][:, gi * cpg_ : (gi + 1) * cpg_] += np.moveaxis(
-                                    np.tensordot(
-                                        wo_[gi * dpg : (gi + 1) * dpg],
-                                        g[:, gi * dpg : (gi + 1) * dpg],
-                                        axes=([0], [1]),
-                                    ),
-                                    0,
-                                    1,
-                                )
+                        gxp[sl] += wc[:, dy, dx] * g
+            else:
+                # np.tensordot's own gemms, with g laid out once instead of per tap
+                g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
+                for dy, dx, sl in taps:
+                    if need_w:
+                        xs2 = xp[sl].transpose(0, 2, 3, 1).reshape(n * ho * wo, cin)
+                        gw[:, :, dy, dx] = np.dot(g2, xs2)
+                    if need_x:
+                        gx = np.dot(w.data[:, :, dy, dx].T, g2).reshape(cin, n, ho, wo)
+                        gxp[sl] += np.moveaxis(gx, 0, 1)
             if need_w:
                 _accumulate(w, gw)
             if need_x:

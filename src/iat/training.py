@@ -183,20 +183,6 @@ def cosine_lr(step: int, total: int, lr0: float) -> float:
 # augmentation
 
 
-def augment_flip(inp: ImageRGB, tgt: ImageRGB, rng) -> tuple[ImageRGB, ImageRGB]:
-    """Flip each axis with p=0.5, the same decision applied to both images."""
-    if inp.pixels.shape != tgt.pixels.shape:
-        raise ShapeError(
-            f"flip pair size mismatch: {inp.pixels.shape} vs {tgt.pixels.shape}"
-        )
-    a, b = inp.pixels, tgt.pixels
-    if rng.random() < 0.5:  # horizontal
-        a, b = a[:, ::-1], b[:, ::-1]
-    if rng.random() < 0.5:  # vertical
-        a, b = a[::-1], b[::-1]
-    return ImageRGB(np.ascontiguousarray(a)), ImageRGB(np.ascontiguousarray(b))
-
-
 def _crop_and_flip(sample: Sample, crop: int, hflip: bool, vflip: bool, rng):
     """Joint random crop + flips over input/target/raw arrays."""
     arrs = [sample.input.pixels, sample.target.pixels]
@@ -276,6 +262,14 @@ def train_loop(
     if not samples:
         raise ConfigurationError("training dataset is empty")
     cfg.validate()
+    for s in samples:
+        shapes = [s.input.pixels.shape, s.target.pixels.shape]
+        if s.raw is not None:
+            shapes.append(s.raw.shape)
+        if len(set(shapes)) > 1:
+            raise ShapeError(
+                f"sample {s.name or '<unnamed>'}: input/target/raw shapes differ: {shapes}"
+            )
     if cfg.loss == "mixed_raw":
         missing = [s.name or "<unnamed>" for s in samples if s.raw is None]
         if missing:

@@ -322,3 +322,26 @@ def test_unknown_config_key_rejected(clean_dir, tmp_path):
     cfg.write_text('{"channles": 8}')  # typo must not be ignored
     code = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("hflip", "false"),  # bool takes only true/false
+        ("steps", 2.7),  # int takes no fraction
+        ("seed", True),  # int takes no bool
+        ("lr0", "abc"),  # float takes only numbers
+        ("loss", 1),  # str takes only strings
+    ],
+)
+def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = str(tmp_path / "o")
+    code = main(["train", "--data", str(tmp_path), "--config", str(cfg), "--out", out])
+    assert code == 1
+    assert key in capsys.readouterr().err
+
+
+def test_config_integer_accepted_for_float(tmp_path):
+    cfg = write_cfg(tmp_path, lr0=1, lambda_raw=0)
+    assert main(["info", "--config", str(cfg)]) == 0

@@ -49,6 +49,9 @@ def test_local_only_path_matches_intermediate():
     local = iat_forward_local(img, p)
     np.testing.assert_array_equal(local.data, f_out.data)
     assert not np.allclose(local.data, out_full.data)  # global op does something
+    out_only, no_f_out = iat_forward(img, p)
+    assert no_f_out is None
+    np.testing.assert_array_equal(out_only.data, out_full.data)
 
 
 def test_forward_matches_scalar_reference():

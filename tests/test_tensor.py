@@ -159,10 +159,11 @@ def test_depthwise_center_one_is_identity():
 @pytest.mark.parametrize(
     "n,cin,cout,h,w,k,stride,padding,groups",
     [
-        (2, 3, 4, 5, 5, 3, 1, 1, 1),
-        (1, 4, 6, 6, 7, 3, 2, 1, 2),
-        (1, 5, 5, 4, 4, 3, 1, 1, 5),
-        (2, 2, 3, 5, 6, 1, 1, 0, 1),
+        (2, 3, 4, 5, 5, 3, 1, 1, 1),  # full 3x3
+        (1, 4, 6, 6, 7, 3, 2, 1, 1),  # full 3x3, stride 2
+        (1, 5, 5, 4, 4, 3, 1, 1, 5),  # depthwise 3x3
+        (2, 4, 4, 5, 6, 3, 1, 1, 4),  # depthwise 3x3, batch 2
+        (2, 2, 3, 5, 6, 1, 1, 0, 1),  # 1x1
         (1, 3, 4, 7, 7, 3, 2, 0, 1),
     ],
 )
@@ -183,16 +184,28 @@ def test_conv_group_mismatch():
     w = Tensor(np.zeros((4, 3, 3, 3)))
     with pytest.raises(ConfigurationError):
         conv2d(x, w, groups=2)
+    # a grouped conv that is neither full nor depthwise is not supported
+    x = Tensor(np.zeros((1, 4, 6, 7)))
+    w = Tensor(np.zeros((6, 2, 3, 3)))
+    with pytest.raises(ConfigurationError, match="groups=2"):
+        conv2d(x, w, padding=1, groups=2)
 
 
 @pytest.mark.parametrize(
-    "cin,cout,stride,padding,groups",
-    [(3, 4, 1, 1, 1), (4, 4, 2, 1, 4), (4, 6, 2, 1, 2), (3, 5, 1, 0, 1)],
+    "n,cin,cout,k,stride,padding,groups",
+    [
+        (1, 3, 4, 3, 1, 1, 1),  # full 3x3
+        (2, 3, 4, 3, 2, 1, 1),  # full 3x3, stride 2, batch 2
+        (1, 4, 4, 3, 2, 1, 4),  # depthwise 3x3, stride 2
+        (2, 4, 4, 3, 1, 1, 4),  # depthwise 3x3, batch 2
+        (1, 3, 5, 3, 1, 0, 1),
+        (1, 3, 5, 1, 1, 0, 1),  # 1x1
+    ],
 )
-def test_conv_gradients_match_fd(cin, cout, stride, padding, groups):
+def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups):
     rng = np.random.default_rng(11)
-    x = p64((1, cin, 5, 6), rng)
-    w = p64((cout, cin // groups, 3, 3), rng, 0.5)
+    x = p64((n, cin, 5, 6), rng)
+    w = p64((cout, cin // groups, k, k), rng, 0.5)
     b = p64((cout,), rng)
     t = rng.standard_normal((1,))  # fold output through a nonlinearity
 

@@ -14,8 +14,8 @@ from iat.training import (
     LogRow,
     Sample,
     TrainConfig,
+    _crop_and_flip,
     adam_step,
-    augment_flip,
     cosine_lr,
     gradient_difference,
     l1_loss,
@@ -189,41 +189,46 @@ def test_cosine_schedule_boundaries():
 # augmentation
 
 
+class FixedRng:
+    """Crops at the origin; flip draws come from `vals` in order."""
+
+    def __init__(self, vals):
+        self.vals = list(vals)
+
+    def integers(self, low, high):
+        return low
+
+    def random(self):
+        return self.vals.pop(0)
+
+
 def test_flip_involution_and_multiset():
     rng = np.random.default_rng(4)
-    a = ImageRGB(rng.random((6, 8, 3)).astype(np.float32))
-    b = ImageRGB(rng.random((6, 8, 3)).astype(np.float32))
-
-    class FixedRng:
-        def __init__(self, vals):
-            self.vals = list(vals)
-
-        def random(self):
-            return self.vals.pop(0)
-
-    # force horizontal flip twice -> identity
-    fa, fb = augment_flip(a, b, FixedRng([0.0, 1.0]))
-    fa2, fb2 = augment_flip(fa, fb, FixedRng([0.0, 1.0]))
-    np.testing.assert_array_equal(fa2.pixels, a.pixels)
-    np.testing.assert_array_equal(fb2.pixels, b.pixels)
+    a, b, r = (rng.random((6, 8, 3)).astype(np.float32) for _ in range(3))
+    # crop 8 keeps the whole image; force horizontal flip twice -> identity
+    once = _crop_and_flip(
+        Sample(ImageRGB(a), ImageRGB(b), r), 8, True, True, FixedRng([0.0, 1.0])
+    )
+    fa, fb, fr = once
+    twice = _crop_and_flip(
+        Sample(ImageRGB(fa), ImageRGB(fb), fr), 8, True, True, FixedRng([0.0, 1.0])
+    )
+    for orig, f1, f2 in zip((a, b, r), once, twice):
+        np.testing.assert_array_equal(f1, orig[:, ::-1])
+        np.testing.assert_array_equal(f2, orig)
     # multiset of pixel values is preserved
-    assert sorted(fa.pixels.reshape(-1)) == sorted(a.pixels.reshape(-1))
+    assert sorted(fa.reshape(-1)) == sorted(a.reshape(-1))
 
 
 def test_flip_preserves_pair_correspondence():
     rng = philox(5)
-    a = ImageRGB(np.arange(36, dtype=np.float32).reshape(3, 4, 3) / 36.0)
-    b = ImageRGB(a.pixels * 0.5)
-    for _ in range(8):
-        fa, fb = augment_flip(a, b, rng)
-        np.testing.assert_allclose(fb.pixels, fa.pixels * 0.5, atol=1e-7)
-
-
-def test_flip_size_mismatch():
-    a = ImageRGB(np.zeros((3, 4, 3), dtype=np.float32))
-    b = ImageRGB(np.zeros((4, 3, 3), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        augment_flip(a, b, philox(6))
+    a = np.arange(36, dtype=np.float32).reshape(3, 4, 3) / 36.0
+    s = Sample(input=ImageRGB(a), target=ImageRGB(a * 0.5), raw=a * 0.25)
+    for crop in (8, 2):  # the whole image, then random 2x2 crops
+        for _ in range(8):
+            fa, fb, fr = _crop_and_flip(s, crop, True, True, rng)
+            np.testing.assert_allclose(fb, fa * 0.5, atol=1e-7)
+            np.testing.assert_allclose(fr, fa * 0.25, atol=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +294,19 @@ def test_train_loop_deterministic():
 def test_train_loop_empty_dataset():
     with pytest.raises(ConfigurationError):
         train_loop([], small_cfg())
+
+
+def test_train_loop_rejects_pair_shape_mismatch():
+    # rejected up front for every seed, wherever the crops would have landed
+    for seed in range(4):
+        samples = make_pairs(2)
+        samples[1].target = ImageRGB(samples[1].target.pixels[:16])
+        with pytest.raises(ShapeError, match="s1"):
+            train_loop(samples, small_cfg(steps=3, seed=seed), config=SMALL_MODEL)
+    samples = make_pairs(2)
+    samples[0].raw = samples[0].raw[:, :16]
+    with pytest.raises(ShapeError, match="s0"):
+        train_loop(samples, small_cfg(steps=3), config=SMALL_MODEL)
 
 
 def test_train_loop_mixed_raw_requires_raw():
