@@ -1,7 +1,7 @@
 """Batch command line: enhance, synthesize, train, eval, info.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Every subcommand
-that takes --seed is bit-reproducible end to end.
+that takes --seed is bit-reproducible end to end at a fixed BLAS thread count.
 """
 
 import argparse
@@ -117,6 +117,9 @@ def cmd_enhance(args) -> int:
     if not inputs:
         raise UsageError(f"no images found in {args.input}")
     out_dir = Path(args.output)
+    # outputs keep their input's file name, so this directory would overwrite inputs
+    if out_dir.resolve() in {p.parent.resolve() for p in inputs}:
+        raise UsageError(f"--output {args.output} is the directory of the inputs")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def work(path: Path):

@@ -8,6 +8,9 @@ rejected with a decode error rather than silently converted.
 Pixel codes pass through untransformed: byte b maps to b/255 on load, and
 saving quantizes with round-half-up after clamping to [0, 1], so a
 load->save->load round trip is exact.
+
+Both decoders refuse images of more than MAX_PIXELS pixels before any pixel
+buffer is allocated or any IDAT data inflated.
 """
 
 import struct
@@ -17,10 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError, ShapeError
+from .errors import DecodeError, InputError, ShapeError
 from .tensor import Tensor
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
+
+MAX_PIXELS = 1 << 26  # width * height limit for decoding
 
 
 @dataclass
@@ -45,7 +50,13 @@ class ImageRGB:
 
 
 def quantize(values: np.ndarray) -> np.ndarray:
-    """Clamp to [0,1] and map to bytes with round-half-up (deterministic)."""
+    """Clamp to [0,1] and map to bytes with round-half-up (deterministic).
+
+    NaN and infinite values have no byte; they raise InputError.
+    """
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise InputError(f"{bad} of {values.size} values are not finite")
     v = np.clip(values, 0.0, 1.0)
     return np.floor(v * 255.0 + 0.5).astype(np.uint8)
 
@@ -77,48 +88,62 @@ def _png_chunks(buf: bytes):
 
 
 def _unfilter_scanlines(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """Undo the per-scanline PNG filters; returns (height, width, bpp) uint8 codes."""
     stride = width * bpp
     expected = (stride + 1) * height
     if len(raw) != expected:
         raise DecodeError(
             f"decompressed pixel data is {len(raw)} bytes, expected {expected}"
         )
-    out = np.zeros((height, stride), dtype=np.uint8)
-    prev = np.zeros(stride, dtype=np.int32)
-    for y in range(height):
-        off = y * (stride + 1)
-        ftype = raw[off]
-        line = np.frombuffer(raw, dtype=np.uint8, count=stride, offset=off + 1)
-        if ftype == 0:
-            recon = line.astype(np.int32)
-        elif ftype == 1:  # Sub: cumulative sum along each bpp lane
-            lanes = line.reshape(width, bpp).astype(np.int64)
-            recon = (np.cumsum(lanes, axis=0) % 256).astype(np.int32).reshape(stride)
-        elif ftype == 2:  # Up
-            recon = (line.astype(np.int32) + prev) % 256
-        elif ftype in (3, 4):  # Average / Paeth: sequential left dependency
-            recon = np.zeros(stride, dtype=np.int32)
-            for x in range(stride):
-                a = int(recon[x - bpp]) if x >= bpp else 0
-                b = int(prev[x])
-                if ftype == 3:
-                    recon[x] = (int(line[x]) + (a + b) // 2) % 256
-                else:
-                    c = int(prev[x - bpp]) if x >= bpp else 0
-                    p = a + b - c
-                    pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
-                    if pa <= pb and pa <= pc:
-                        pred = a
-                    elif pb <= pc:
-                        pred = b
-                    else:
-                        pred = c
-                    recon[x] = (int(line[x]) + pred) % 256
-        else:
-            raise DecodeError(f"unknown filter type {ftype} on scanline {y}")
-        out[y] = recon.astype(np.uint8)
-        prev = recon
-    return out.reshape(height, width, bpp)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(height, stride + 1)
+    bad = np.flatnonzero(rows[:, 0] > 4)
+    if bad.size:
+        y = int(bad[0])
+        raise DecodeError(f"unknown filter type {rows[y, 0]} on scanline {y}")
+    out = np.empty((height, width, bpp), dtype=np.uint8)
+    # a band of n rows is skewed into (n + width) * n cells; n <= 2 * width keeps
+    # that within 3x the band's pixels however tall the image is
+    band = min(height, 2 * width)
+    for y0 in range(0, height, band):
+        up = out[y0 - 1] if y0 else np.zeros((width, bpp), dtype=np.uint8)
+        out[y0 : y0 + band] = _unfilter_band(rows[y0 : y0 + band], up)
+    return out
+
+
+def _unfilter_band(rows: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Reconstruct filtered scanlines `rows` (filter byte first) lying below `up`.
+
+    Byte (y, j, lane) depends only on the same lane of its left (y, j-1), up
+    (y-1, j) and up-left (y-1, j-1) neighbours, so every pixel on the
+    anti-diagonal y + j = k is reconstructed in one vectorized step from
+    diagonals k-1 and k-2: rows + width - 1 steps for the whole band.
+    """
+    n = rows.shape[0]
+    width, bpp = up.shape
+    # Skewed layout: pixel (y, j) sits at [y + j + 2, y + 1]. Index 0 on the
+    # second axis is the row above the band, and [k, k] is the zero column
+    # left of the image, so a, b and c of diagonal k are contiguous slices.
+    ys = np.arange(1, n + 1)[:, None]
+    ks = ys + np.arange(1, width + 1)
+    filtered = np.zeros((n + width + 1, n + 1, bpp), dtype=np.uint8)
+    filtered[ks, ys] = rows[:, 1:].reshape(n, width, bpp)
+    recon = np.zeros(filtered.shape, dtype=np.int16)
+    recon[1 : width + 1, 0] = up
+    kinds = np.zeros((n + 1, 1), dtype=np.intp)
+    kinds[1:, 0] = rows[:, 0]
+    for k in range(2, n + width + 1):
+        lo, hi = max(1, k - width), min(n, k - 1) + 1
+        a = recon[k - 1, lo:hi]  # left
+        b = recon[k - 1, lo - 1 : hi - 1]  # up
+        c = recon[k - 2, lo - 1 : hi - 1]  # up-left
+        # Paeth: pa = |p - a| = |b - c|, pb = |a - c|, pc = |p - c|; ties prefer a, then b
+        bc, ac = b - c, a - c
+        pa, pb, pc = np.abs(bc), np.abs(ac), np.abs(bc + ac)
+        paeth = np.where((pa <= pb) & (pa <= pc), a, np.where(pb <= pc, b, c))
+        # filter types 0-4: None, Sub, Up, Average, Paeth
+        pred = np.choose(kinds[lo:hi], (0, a, b, (a + b) >> 1, paeth))
+        np.bitwise_and(filtered[k, lo:hi] + pred, 255, out=recon[k, lo:hi])
+    return recon[ks, ys]
 
 
 def _decode_png(buf: bytes) -> np.ndarray:
@@ -142,6 +167,8 @@ def _decode_png(buf: bytes) -> np.ndarray:
     width, height, depth, color, compression, filt, interlace = header
     if width == 0 or height == 0:
         raise DecodeError(f"zero-sized image {width}x{height}")
+    if width * height > MAX_PIXELS:
+        raise DecodeError(f"{width}x{height} image exceeds the {MAX_PIXELS}-pixel limit")
     if depth != 8:
         raise DecodeError(f"{depth}-bit PNG not supported (8-bit only)")
     if color not in (2, 6):
@@ -152,11 +179,18 @@ def _decode_png(buf: bytes) -> np.ndarray:
         raise DecodeError("interlaced (Adam7) PNG not supported")
     if not idat:
         raise DecodeError("no IDAT chunks")
+    bpp = 3 if color == 2 else 4
+    expected = (width * bpp + 1) * height
+    inflater = zlib.decompressobj()
     try:
-        raw = zlib.decompress(b"".join(idat))
+        # one byte past the expected size is enough to tell a stream is too long
+        raw = inflater.decompress(b"".join(idat), expected + 1)
     except zlib.error as e:
         raise DecodeError(f"corrupt IDAT stream: {e}") from None
-    bpp = 3 if color == 2 else 4
+    if len(raw) > expected:
+        raise DecodeError(f"IDAT inflates to at least {len(raw)} bytes, expected {expected}")
+    if not inflater.eof:
+        raise DecodeError(f"truncated IDAT stream: {len(raw)} bytes, expected {expected}")
     px = _unfilter_scanlines(raw, width, height, bpp)
     return px[:, :, :3]  # drop alpha when present
 
@@ -216,6 +250,10 @@ def _decode_ppm(buf: bytes) -> np.ndarray:
         raise DecodeError(f"malformed PPM header near byte {pos}") from None
     if maxval != 255:
         raise DecodeError(f"PPM maxval {maxval} not supported (255 only)")
+    if width <= 0 or height <= 0:
+        raise DecodeError(f"PPM size {width}x{height} is not positive")
+    if width * height > MAX_PIXELS:
+        raise DecodeError(f"{width}x{height} image exceeds the {MAX_PIXELS}-pixel limit")
     pos += 1  # single whitespace after maxval
     need = width * height * 3
     if len(buf) - pos < need:

@@ -389,7 +389,9 @@ def conv2d(
             need_w = w.requires_grad
             if not (need_x or need_w):
                 return
-            gxp = np.zeros_like(xp) if need_x else None
+            # one 1x1 stride-1 tap reads all of x, so its gradient needs no zeroed buffer
+            whole = not depthwise and (kh, kw, stride, padding) == (1, 1, 1, 0)
+            gxp = np.zeros_like(xp) if need_x and not whole else None
             gw = np.zeros_like(w.data) if need_w else None
             if depthwise:
                 tmp = np.empty_like(g) if need_w else None
@@ -408,7 +410,11 @@ def conv2d(
                         gw[:, :, dy, dx] = np.dot(g2, xs2)
                     if need_x:
                         gx = np.dot(w.data[:, :, dy, dx].T, g2).reshape(cin, n, ho, wo)
-                        gxp[sl] += np.moveaxis(gx, 0, 1)
+                        gx = np.moveaxis(gx, 0, 1)
+                        if whole:
+                            gxp = gx
+                        else:
+                            gxp[sl] += gx
             if need_w:
                 _accumulate(w, gw)
             if need_x:

@@ -130,6 +130,34 @@ def test_enhance_all_fail(identity_ckpt, tmp_path):
     assert code == 2
 
 
+def test_enhance_non_finite_output_skipped(clean_dir, tmp_path, capsys):
+    params = iat_init(IATConfig(**SMALL), rng=philox(0))
+    params.local.offset_head.bias.data[:] = np.nan
+    ckpt = tmp_path / "nan.iatc"
+    save_checkpoint(params, ckpt)
+    out = tmp_path / "enhanced"
+    code = main([
+        "enhance", "--checkpoint", str(ckpt), "--input", str(clean_dir), "--output", str(out),
+    ])
+    assert code == 2  # every image failed
+    err = capsys.readouterr().err
+    assert "clean_0.png" in err and "clean_1.png" in err and "not finite" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("form", ["directory", "file"])
+def test_enhance_refuses_to_overwrite_inputs(clean_dir, identity_ckpt, form, capsys):
+    before = tree_bytes(clean_dir)
+    source = clean_dir if form == "directory" else clean_dir / "clean_1.png"
+    code = main([
+        "enhance", "--checkpoint", str(identity_ckpt),
+        "--input", str(source), "--output", str(clean_dir / ".." / clean_dir.name),
+    ])
+    assert code == 1
+    assert "directory of the inputs" in capsys.readouterr().err
+    assert tree_bytes(clean_dir) == before
+
+
 def test_enhance_threads_match_single(clean_dir, identity_ckpt, tmp_path):
     out1 = tmp_path / "t1"
     out4 = tmp_path / "t4"

@@ -3,12 +3,14 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from iat.errors import DecodeError, ShapeError
+from iat.errors import DecodeError, InputError, ShapeError
 from iat.image_io import (
+    MAX_PIXELS,
     ImageRGB,
+    _unfilter_scanlines,
     image_to_tensor,
     load_image,
     quantize,
@@ -41,6 +43,24 @@ def load_roundtrip_bytes(codes, tmp_path=None, fmt=".png"):
 def test_quantize_clamps():
     codes = quantize(np.array([1.2, -0.1, 0.5]))
     np.testing.assert_array_equal(codes, [255, 0, 128])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite(bad):
+    values = np.full((2, 3, 3), 0.5, dtype=np.float32)
+    values[1, 2, 0] = bad
+    values[0, 0, 1] = np.nan
+    with pytest.raises(InputError, match="2 of 18 values are not finite"):
+        quantize(values)
+
+
+def test_save_non_finite_writes_nothing(tmp_path):
+    img = ImageRGB(np.full((2, 2, 3), 0.5, dtype=np.float32))
+    img.pixels[0, 1, 2] = np.nan
+    for name in ("nan.png", "nan.ppm"):
+        with pytest.raises(InputError, match="1 of 12"):
+            save_image(img, tmp_path / name)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_quantize_round_half_up():
@@ -128,7 +148,7 @@ def test_png_crc_error_reports_offset(tmp_path):
         load_image(p)
 
 
-def _raw_png(width, height, depth, color, interlace, pixel_bytes):
+def _raw_png(width, height, depth, color, interlace, pixel_bytes, compress=True):
     def chunk(ctype, data):
         return (
             struct.pack(">I", len(data))
@@ -141,7 +161,7 @@ def _raw_png(width, height, depth, color, interlace, pixel_bytes):
     return (
         b"\x89PNG\r\n\x1a\n"
         + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(pixel_bytes))
+        + chunk(b"IDAT", zlib.compress(pixel_bytes) if compress else pixel_bytes)
         + chunk(b"IEND", b"")
     )
 
@@ -212,6 +232,114 @@ def test_png_all_filter_types(tmp_path):
         p.write_bytes(_raw_png(5, 4, 8, 2, 0, raw))
         img = load_image(p)
         np.testing.assert_array_equal(quantize(img.pixels), codes, err_msg=f"filter {ftype}")
+
+
+def reference_unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndarray:
+    """PNG unfiltering one byte at a time, as the specification states it."""
+    stride = width * bpp
+    out = np.zeros((height, stride), dtype=np.uint8)
+    prev = [0] * stride
+    for y in range(height):
+        off = y * (stride + 1)
+        ftype = raw[off]
+        recon = [0] * stride
+        for x in range(stride):
+            filt = raw[off + 1 + x]
+            a = recon[x - bpp] if x >= bpp else 0
+            b = prev[x]
+            c = prev[x - bpp] if x >= bpp else 0
+            if ftype == 0:
+                pred = 0
+            elif ftype == 1:
+                pred = a
+            elif ftype == 2:
+                pred = b
+            elif ftype == 3:
+                pred = (a + b) // 2
+            else:
+                p = a + b - c
+                pa, pb, pc = abs(p - a), abs(p - b), abs(p - c)
+                if pa <= pb and pa <= pc:
+                    pred = a
+                elif pb <= pc:
+                    pred = b
+                else:
+                    pred = c
+            recon[x] = (filt + pred) % 256
+        out[y] = recon
+        prev = recon
+    return out.reshape(height, width, bpp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.sampled_from([3, 4]),
+    st.sampled_from([256, 3]),  # 3 symbols make Paeth ties common
+    st.integers(0, 2**31 - 1),
+)
+@example(1, 40, 3, 256, 0)
+@example(40, 1, 4, 256, 1)
+@example(1, 1, 3, 3, 2)
+@example(40, 40, 4, 3, 3)
+def test_unfilter_matches_reference(height, width, bpp, symbols, seed):
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, 5, (height, 1), dtype=np.uint8)
+    data = rng.integers(0, symbols, (height, width * bpp), dtype=np.uint8)
+    raw = np.concatenate([kinds, data], axis=1).tobytes()
+    got = _unfilter_scanlines(raw, width, height, bpp)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, reference_unfilter(raw, width, height, bpp))
+
+
+def test_unknown_filter_type_names_first_bad_scanline(tmp_path):
+    rows = [bytes([ftype]) + bytes(range(6)) for ftype in (0, 4, 5, 1, 9)]
+    p = tmp_path / "filter5.png"
+    p.write_bytes(_raw_png(2, 5, 8, 2, 0, b"".join(rows)))
+    with pytest.raises(DecodeError, match="unknown filter type 5 on scanline 2$"):
+        load_image(p)
+
+
+def test_png_over_pixel_limit_rejected(tmp_path):
+    p = tmp_path / "huge.png"
+    p.write_bytes(_raw_png(100000, 100000, 8, 2, 0, b"\x00" * 64))
+    assert len(p.read_bytes()) < 300
+    with pytest.raises(DecodeError, match=f"100000x100000 image exceeds the {MAX_PIXELS}-pixel"):
+        load_image(p)
+
+
+def test_ppm_over_pixel_limit_rejected(tmp_path):
+    p = tmp_path / "huge.ppm"
+    p.write_bytes(b"P6\n100000 100000\n255\n" + bytes(300))
+    with pytest.raises(DecodeError, match="100000x100000 image exceeds"):
+        load_image(p)
+
+
+@pytest.mark.parametrize("size", [b"0 2", b"2 0", b"-2 3"])
+def test_ppm_non_positive_size_rejected(tmp_path, size):
+    p = tmp_path / "empty.ppm"
+    p.write_bytes(b"P6\n" + size + b"\n255\n" + bytes(18))
+    with pytest.raises(DecodeError, match="is not positive"):
+        load_image(p)
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        # 2x2 RGB needs 14 bytes; a megabyte of zeros compresses to about 1 kB
+        (zlib.compress(bytes(1 << 20)), "at least 15 bytes, expected 14"),
+        (zlib.compress(bytes(15)), "at least 15 bytes, expected 14"),
+        (zlib.compress(bytes(13)), "13 bytes, expected 14"),
+        (zlib.compress(bytes(14))[:-6], "truncated IDAT stream"),
+    ],
+    ids=["bomb", "one_byte_long", "short", "truncated"],
+)
+def test_idat_size_mismatch_rejected(tmp_path, stream, message):
+    p = tmp_path / "idat.png"
+    p.write_bytes(_raw_png(2, 2, 8, 2, 0, stream, compress=False))
+    with pytest.raises(DecodeError, match=message):
+        load_image(p)
 
 
 def test_tensor_layout_roundtrip():
