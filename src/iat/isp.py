@@ -129,13 +129,19 @@ def apply_global(x: Tensor, gp: GlobalParams) -> Tensor:
     return pow_clamped(apply_color_matrix(x, gp.color_matrix), gp.gamma, gp.eps)
 
 
-def compose_iat(x: Tensor, gain: Tensor, offset: Tensor, gp: GlobalParams) -> Tensor:
-    """Full correction: global operation applied to x * gain + offset."""
+def compose_iat(
+    x: Tensor, gain: Tensor, offset: Tensor, gp: GlobalParams
+) -> tuple[Tensor, Tensor]:
+    """Full correction: global operation applied to f = x * gain + offset.
+
+    Returns (out, f); f is the local intermediate the raw loss supervises.
+    """
     if gain.shape != x.shape or offset.shape != x.shape:
         raise ShapeError(
             f"gain/offset {gain.shape}/{offset.shape} must match input {x.shape}"
         )
-    return apply_global(x * gain + offset, gp)
+    f = x * gain + offset
+    return apply_global(f, gp), f
 
 
 # ---------------------------------------------------------------------------

@@ -64,20 +64,16 @@ def iat_init(config: IATConfig | None = None, rng=None, dtype=np.float32) -> IAT
     return IATParams(local=local, encoder=encoder, gpm=gpm, config=config)
 
 
-def iat_forward(
-    img: Tensor, p: IATParams, want_intermediate: bool = False
-) -> tuple[Tensor, Tensor | None]:
+def iat_forward(img: Tensor, p: IATParams) -> tuple[Tensor, Tensor]:
     """Run both branches and compose them.
 
     Returns (out, f_out) where f_out = img * gain + offset is the local
-    intermediate (None unless requested). The output is intentionally not
-    clamped to [0, 1]; clamping happens only at image export.
+    intermediate. The output is intentionally not clamped to [0, 1];
+    clamping happens only at image export.
     """
     maps = local_branch_forward(img, p.local)
     gp = gpm_forward(encoder_forward(img, p.encoder), p.gpm)
-    f_out = img * maps.gain + maps.offset if want_intermediate else None
-    out = compose_iat(img, maps.gain, maps.offset, gp)
-    return out, f_out
+    return compose_iat(img, maps.gain, maps.offset, gp)
 
 
 def iat_forward_local(img: Tensor, p: IATParams) -> Tensor:

@@ -38,7 +38,6 @@ GAMMA_EPS = 1e-8
 class EncoderParams:
     conv1: Conv2d  # 3x3, 3 -> d/2, stride 2
     conv2: Conv2d  # 3x3, d/2 -> d, stride 2
-    d: int = 80
 
 
 @dataclass
@@ -56,7 +55,6 @@ class GpmParams:
     head_color_b: Tensor  # (1,), zero at init
     head_gamma_w: Tensor  # (d, 1), zero at init
     head_gamma_b: Tensor  # (1,), zero at init
-    d: int = 80
 
 
 def _linear_init(rng, fan_in, fan_out, dtype):
@@ -73,7 +71,6 @@ def global_branch_init(d: int = 80, rng=None, dtype=np.float32):
     encoder = EncoderParams(
         conv1=kaiming_conv(rng, d // 2, 3, 3, dtype, stride=2, padding=1),
         conv2=kaiming_conv(rng, d, d // 2, 3, dtype, stride=2, padding=1),
-        d=d,
     )
 
     def zeros(shape):
@@ -93,7 +90,6 @@ def global_branch_init(d: int = 80, rng=None, dtype=np.float32):
         head_color_b=zeros(1),
         head_gamma_w=zeros((d, 1)),
         head_gamma_b=zeros(1),
-        d=d,
     )
     return encoder, gpm
 
@@ -114,7 +110,7 @@ def cross_attention(queries: Tensor, feats: Tensor, p: GpmParams) -> Tensor:
     K and V come from the features plus their depthwise positional encoding;
     the raw queries join the attended output through a residual.
     """
-    d = p.d
+    d = queries.shape[1]
     _, _, h, w = feats.shape
     kv = feats + p.pos_dw(feats)
     kv = permute(reshape(kv, (d, h * w)), (1, 0))  # (HW, d)

@@ -165,8 +165,6 @@ class LocalBranchParams:
     offset_blocks: list[PemParams] = field(default_factory=list)
     gain_head: Conv2d = None  # 3x3, C -> 3, + ReLU
     offset_head: Conv2d = None  # 3x3, C -> 3, + tanh
-    channels: int = 16
-    blocks: int = 3
 
 
 def local_branch_init(
@@ -193,8 +191,6 @@ def local_branch_init(
         offset_blocks=[pem_init(channels, rng, dtype) for _ in range(blocks)],
         gain_head=gain_head,
         offset_head=offset_head,
-        channels=channels,
-        blocks=blocks,
     )
 
 

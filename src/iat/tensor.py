@@ -5,9 +5,13 @@ broadcast elementwise arithmetic, direct 2-d convolution (full and depthwise),
 matmul, a clamped power op, a small activation zoo, softmax, reductions, and
 shape bookkeeping (reshape/transpose/slice).
 
-Recording model: ops append backward rules to the innermost active `Tape`
-(thread local). With no active tape nothing is recorded, so inference runs
-tape-free. A tape supports one `backward()` pass and is consumed by it.
+Recording model: each op computes its output one way, whether or not a tape
+records it, and hands `_emit` one backward rule. The rule is the only
+backward state: whatever it needs beyond the op's inputs and output (a relu
+mask, a sign, GELU's tanh) it computes when backward runs. The innermost
+active `Tape` (thread local) keeps the rule when any input requires grad;
+with no active tape nothing is kept, so inference runs tape-free. A tape
+supports one `backward()` pass and is consumed by it.
 
 float32 is the working precision; building tensors from float64 arrays keeps
 float64 throughout, which the finite-difference tests rely on.
@@ -198,20 +202,15 @@ def backward(loss: Tensor, tape: Tape | None = None):
     tape.backward(loss)
 
 
-def _recording(*inputs) -> bool:
-    """True when the op about to run will be recorded on a tape."""
-    return _active_tape() is not None and any(t.requires_grad for t in inputs)
-
-
-def _emit(data, inputs, make_rule) -> Tensor:
-    """Wrap op output; record a backward rule if grads are being tracked."""
+def _emit(data, inputs, rule) -> Tensor:
+    """Wrap op output; record its backward rule if grads are being tracked."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
     tape = _active_tape()
     if tape is not None and out.requires_grad:
-        tape._ops.append((out, make_rule(out)))
+        tape._ops.append((out, rule))
     return out
 
 
@@ -257,32 +256,28 @@ def elementwise(a: Tensor, b: Tensor, kind: str) -> Tensor:
     else:
         raise ConfigurationError(f"unknown elementwise kind {kind!r}")
 
-    def make_rule(out):
-        def rule(g):
-            if kind == "add":
-                _accumulate(a, g)
-                _accumulate(b, g)
-            elif kind == "sub":
-                _accumulate(a, g)
-                _accumulate(b, -g)
-            else:
-                _accumulate(a, g * b.data)
-                _accumulate(b, g * a.data)
+    def rule(g):
+        if kind == "add":
+            _accumulate(a, g)
+            _accumulate(b, g)
+        elif kind == "sub":
+            _accumulate(a, g)
+            _accumulate(b, -g)
+        else:
+            _accumulate(a, g * b.data)
+            _accumulate(b, g * a.data)
 
-        return rule
-
-    return _emit(data, (a, b), make_rule)
+    return _emit(data, (a, b), rule)
 
 
 def absolute(x: Tensor) -> Tensor:
     """|x|; subgradient 0 at x == 0."""
     data = np.abs(x.data)
 
-    def make_rule(out):
-        sign = np.sign(x.data)
-        return lambda g: _accumulate(x, g * sign)
+    def rule(g):
+        _accumulate(x, g * np.sign(x.data))
 
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +292,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
 
-    def make_rule(out):
-        def rule(g):
-            _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+    def rule(g):
+        _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
 
-        return rule
-
-    return _emit(data, (a, b), make_rule)
+    return _emit(data, (a, b), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -381,52 +373,49 @@ def conv2d(
     if bias is not None:
         data += bias.data[None, :, None, None]
 
-    def make_rule(out):
-        def rule(g):
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, g.sum(axis=(0, 2, 3)))
-            need_x = x.requires_grad
-            need_w = w.requires_grad
-            if not (need_x or need_w):
-                return
-            # one 1x1 stride-1 tap reads all of x, so its gradient needs no zeroed buffer
-            whole = not depthwise and (kh, kw, stride, padding) == (1, 1, 1, 0)
-            gxp = np.zeros_like(xp) if need_x and not whole else None
-            gw = np.zeros_like(w.data) if need_w else None
-            if depthwise:
-                tmp = np.empty_like(g) if need_w else None
-                for dy, dx, sl in taps:
-                    if need_w:
-                        np.multiply(g, xp[sl], out=tmp)
-                        gw[:, 0, dy, dx] = tmp.sum(axis=(0, 2, 3))
-                    if need_x:
-                        gxp[sl] += wc[:, dy, dx] * g
+    def rule(g):
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        need_x = x.requires_grad
+        need_w = w.requires_grad
+        if not (need_x or need_w):
+            return
+        # one 1x1 stride-1 tap reads all of x, so its gradient needs no zeroed buffer
+        whole = not depthwise and (kh, kw, stride, padding) == (1, 1, 1, 0)
+        gxp = np.zeros_like(xp) if need_x and not whole else None
+        gw = np.zeros_like(w.data) if need_w else None
+        if depthwise:
+            tmp = np.empty_like(g) if need_w else None
+            for dy, dx, sl in taps:
+                if need_w:
+                    np.multiply(g, xp[sl], out=tmp)
+                    gw[:, 0, dy, dx] = tmp.sum(axis=(0, 2, 3))
+                if need_x:
+                    gxp[sl] += wc[:, dy, dx] * g
+        else:
+            # np.tensordot's own gemms, with g laid out once instead of per tap
+            g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
+            for dy, dx, sl in taps:
+                if need_w:
+                    xs2 = xp[sl].transpose(0, 2, 3, 1).reshape(n * ho * wo, cin)
+                    gw[:, :, dy, dx] = np.dot(g2, xs2)
+                if need_x:
+                    gx = np.dot(w.data[:, :, dy, dx].T, g2).reshape(cin, n, ho, wo)
+                    gx = np.moveaxis(gx, 0, 1)
+                    if whole:
+                        gxp = gx
+                    else:
+                        gxp[sl] += gx
+        if need_w:
+            _accumulate(w, gw)
+        if need_x:
+            if padding:
+                _accumulate(x, gxp[:, :, padding:-padding, padding:-padding])
             else:
-                # np.tensordot's own gemms, with g laid out once instead of per tap
-                g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
-                for dy, dx, sl in taps:
-                    if need_w:
-                        xs2 = xp[sl].transpose(0, 2, 3, 1).reshape(n * ho * wo, cin)
-                        gw[:, :, dy, dx] = np.dot(g2, xs2)
-                    if need_x:
-                        gx = np.dot(w.data[:, :, dy, dx].T, g2).reshape(cin, n, ho, wo)
-                        gx = np.moveaxis(gx, 0, 1)
-                        if whole:
-                            gxp = gx
-                        else:
-                            gxp[sl] += gx
-            if need_w:
-                _accumulate(w, gw)
-            if need_x:
-                if padding:
-                    _accumulate(x, gxp[:, :, padding:-padding, padding:-padding])
-                else:
-                    _accumulate(x, gxp)
-
-        return rule
+                _accumulate(x, gxp)
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    return _emit(data, inputs, make_rule)
+    return _emit(data, inputs, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -446,68 +435,61 @@ def pow_clamped(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
     gval = float(gamma.data.reshape(()))
     data = xc**gval
 
-    def make_rule(out):
-        def rule(g):
-            if x.requires_grad:
-                gx = g * gval * xc ** (gval - 1.0)
-                gx = np.where(x.data > eps, gx, 0.0).astype(x.data.dtype, copy=False)
-                _accumulate(x, gx)
-            if gamma.requires_grad:
-                gg = (g * data * np.log(xc)).sum()
-                _accumulate(gamma, np.asarray(gg, dtype=gamma.data.dtype))
+    def rule(g):
+        if x.requires_grad:
+            gx = g * gval * xc ** (gval - 1.0)
+            gx = np.where(x.data > eps, gx, 0.0).astype(x.data.dtype, copy=False)
+            _accumulate(x, gx)
+        if gamma.requires_grad:
+            gg = (g * data * np.log(xc)).sum()
+            _accumulate(gamma, np.asarray(gg, dtype=gamma.data.dtype))
 
-        return rule
+    return _emit(data, (x, gamma), rule)
 
-    return _emit(data, (x, gamma), make_rule)
+
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    """tanh(c*(x + a*x*x*x)) in one fresh buffer, with that expression's
+    left-to-right arithmetic, so forward and backward get the same bits."""
+    t = _GELU_A * xd
+    t *= xd
+    t *= xd
+    t += xd
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
     """Elementwise relu / tanh / gelu with exact derivatives."""
+    xd = x.data
     if kind == "relu":
-        data = np.maximum(x.data, 0)
+        data = np.maximum(xd, 0)
 
-        def make_rule(out):
-            mask = (x.data > 0).astype(x.data.dtype)
-            return lambda g: _accumulate(x, g * mask)
+        def rule(g):
+            _accumulate(x, g * (xd > 0).astype(xd.dtype))
 
     elif kind == "tanh":
-        data = np.tanh(x.data)
+        data = np.tanh(xd)
 
-        def make_rule(out):
-            return lambda g: _accumulate(x, g * (1.0 - out.data * out.data))
+        def rule(g):
+            _accumulate(x, g * (1.0 - data * data))
 
     elif kind == "gelu":
-        # tanh form (the common transformer variant); backward is its exact
-        # derivative: 0.5*(1+t) + 0.5*x*(1-t^2)*c*(1+3a*x^2)
-        xd = x.data
-        if _recording(x):
-            inner = _GELU_C * (xd + _GELU_A * xd * xd * xd)
-            t = np.tanh(inner)
-            data = 0.5 * xd * (1.0 + t)
+        # tanh form (the common transformer variant): 0.5*x*(1+t) with
+        # t = _gelu_tanh(x); backward recomputes t so the tape holds no copy
+        data = _gelu_tanh(xd)
+        data += 1.0
+        data *= 0.5 * xd
 
-            def make_rule(out):
-                sech2 = 1.0 - t * t
-                deriv = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (
-                    1.0 + 3.0 * _GELU_A * xd * xd
-                )
-                return lambda g: _accumulate(x, g * deriv)
-
-        else:  # inference: same math fused in place, nothing retained
-            buf = xd * xd
-            buf *= xd
-            buf *= _GELU_A
-            buf += xd
-            buf *= _GELU_C
-            np.tanh(buf, out=buf)
-            buf += 1.0
-            buf *= xd
-            buf *= 0.5
-            data = buf
-            make_rule = None  # never recorded on this path
+        def rule(g):
+            t = _gelu_tanh(xd)
+            deriv = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * _GELU_C * (
+                1.0 + 3.0 * _GELU_A * xd * xd
+            )
+            _accumulate(x, g * deriv)
 
     else:
         raise ConfigurationError(f"unknown activation kind {kind!r}")
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), rule)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -526,12 +508,12 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed stably; derivative is the logistic sigmoid."""
     data = np.logaddexp(0.0, x.data).astype(x.data.dtype, copy=False)
 
-    def make_rule(out):
+    def rule(g):
         # stable sigmoid: exp(-softplus(-x))
         sig = np.exp(-np.logaddexp(0.0, -x.data)).astype(x.data.dtype, copy=False)
-        return lambda g: _accumulate(x, g * sig)
+        _accumulate(x, g * sig)
 
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), rule)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -542,15 +524,11 @@ def softmax(x: Tensor, axis: int) -> Tensor:
     e = np.exp(z)
     data = e / e.sum(axis=axis, keepdims=True)
 
-    def make_rule(out):
-        def rule(g):
-            y = out.data
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            _accumulate(x, (g - dot) * y)
+    def rule(g):
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        _accumulate(x, (g - dot) * data)
 
-        return rule
-
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +549,7 @@ def reduce(x: Tensor, kind: str, axes=None) -> Tensor:
             if not -x.ndim <= int(a) < x.ndim:
                 raise ConfigurationError(f"axis {a} out of range for shape {x.shape}")
     if not ax:
-        data = x.data
-
-        def make_rule(out):
-            return lambda g: _accumulate(x, g)
-
-        return _emit(data, (x,), make_rule)
+        return _emit(x.data, (x,), lambda g: _accumulate(x, g))
 
     count = 1
     for a in ax:
@@ -585,39 +558,27 @@ def reduce(x: Tensor, kind: str, axes=None) -> Tensor:
     if kind == "mean":
         data = data / count
 
-    def make_rule(out):
-        def rule(g):
-            shape_kept = list(x.shape)
-            for a in ax:
-                shape_kept[a] = 1
-            ge = np.broadcast_to(g.reshape(shape_kept), x.shape)
-            if kind == "mean":
-                ge = ge / count
-            _accumulate(x, ge)
+    def rule(g):
+        shape_kept = list(x.shape)
+        for a in ax:
+            shape_kept[a] = 1
+        ge = np.broadcast_to(g.reshape(shape_kept), x.shape)
+        if kind == "mean":
+            ge = ge / count
+        _accumulate(x, ge)
 
-        return rule
-
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), rule)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
-
-    def make_rule(out):
-        return lambda g: _accumulate(x, g.reshape(x.data.shape))
-
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), lambda g: _accumulate(x, g.reshape(x.data.shape)))
 
 
 def permute(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     data = np.transpose(x.data, axes)
-
-    def make_rule(out):
-        inv = np.argsort(axes)
-        return lambda g: _accumulate(x, np.transpose(g, inv))
-
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), lambda g: _accumulate(x, np.transpose(g, np.argsort(axes))))
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -633,12 +594,9 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     )
     data = x.data[sl]
 
-    def make_rule(out):
-        def rule(g):
-            gx = np.zeros_like(x.data)
-            gx[sl] = g
-            _accumulate(x, gx)
+    def rule(g):
+        gx = np.zeros_like(x.data)
+        gx[sl] = g
+        _accumulate(x, gx)
 
-        return rule
-
-    return _emit(data, (x,), make_rule)
+    return _emit(data, (x,), rule)

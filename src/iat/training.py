@@ -287,7 +287,6 @@ def train_loop(
     best_psnr = -math.inf
     best = _snapshot(params)
     order: list[int] = []
-    want_raw = cfg.loss == "mixed_raw"
 
     total_steps = cfg.steps
     for step in range(start_step, total_steps):
@@ -301,7 +300,7 @@ def train_loop(
             total = None
             for s in batch:
                 inp, tgt, raw = _crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng)
-                out, f_out = iat_forward(_to_nchw(inp), params, want_intermediate=want_raw)
+                out, f_out = iat_forward(_to_nchw(inp), params)
                 loss = compute_loss(
                     cfg,
                     out,

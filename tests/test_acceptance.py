@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import iat
 from iat.cli import main as cli_main
 from iat.errors import InputError
 from iat.image_io import ImageRGB, image_to_tensor, quantize, save_image, tensor_to_image
@@ -299,7 +300,7 @@ def test_c07_resolution_polymorphism():
     sizes = [(16, 16), (37, 53), (400, 600), (600, 400)]
     for h, w in sizes:
         img = Tensor(rng.uniform(0, 1, (1, 3, h, w)).astype(np.float32))
-        out, f_out = iat_forward(img, params, want_intermediate=True)
+        out, f_out = iat_forward(img, params)
         assert out.shape == (1, 3, h, w), (h, w)
         assert f_out.shape == (1, 3, h, w)
     report(
@@ -371,6 +372,9 @@ print("ELAPSED", time.perf_counter() - t0)
 """
     env = dict(os.environ)
     env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # the child imports the same `iat` as this process, whether installed or not
+    src_dir = os.path.dirname(os.path.dirname(iat.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True
     )

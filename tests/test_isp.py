@@ -109,11 +109,11 @@ def test_compose_identity_and_doubling():
     x = Tensor(rng.uniform(1e-6, 1.0, (1, 3, 4, 4)).astype(np.float32))
     ones = Tensor(np.ones_like(x.data))
     zeros = Tensor(np.zeros_like(x.data))
-    out = compose_iat(x, ones, zeros, GlobalParams.identity())
+    out, _ = compose_iat(x, ones, zeros, GlobalParams.identity())
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
     quarter = Tensor(np.full((1, 3, 2, 2), 0.25, dtype=np.float32))
-    out = compose_iat(
+    out, _ = compose_iat(
         quarter,
         Tensor(np.full((1, 3, 2, 2), 2.0, dtype=np.float32)),
         Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32)),
@@ -129,9 +129,10 @@ def test_compose_matches_scalar_oracle():
     offset = rng.uniform(-0.3, 0.3, (1, 3, 8, 8))
     m = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
     gamma, eps = 0.8, 1e-8
-    out = compose_iat(
+    out, f = compose_iat(
         Tensor(x), Tensor(gain), Tensor(offset), GlobalParams.from_values(m, gamma, eps)
     )
+    np.testing.assert_array_equal(f.data, x * gain + offset)
     ref = scalar_global_reference(x * gain + offset, m, gamma, eps)
     np.testing.assert_allclose(out.data, ref, atol=1e-6)
 

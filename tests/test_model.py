@@ -45,13 +45,10 @@ def test_local_only_path_matches_intermediate():
         )
     rng = np.random.default_rng(4)
     img = rand_image(rng, 10, 12)
-    out_full, f_out = iat_forward(img, p, want_intermediate=True)
+    out_full, f_out = iat_forward(img, p)
     local = iat_forward_local(img, p)
     np.testing.assert_array_equal(local.data, f_out.data)
     assert not np.allclose(local.data, out_full.data)  # global op does something
-    out_only, no_f_out = iat_forward(img, p)
-    assert no_f_out is None
-    np.testing.assert_array_equal(out_only.data, out_full.data)
 
 
 def test_forward_matches_scalar_reference():
@@ -88,6 +85,21 @@ def test_determinism_same_seed_same_output():
         out, _ = iat_forward(img, p)
         outs.append(out.data.copy())
     np.testing.assert_array_equal(outs[0], outs[1])
+
+
+@pytest.mark.parametrize("h,w", [(37, 53), (160, 240)])
+def test_forward_same_with_and_without_tape(h, w):
+    # inference (enhance, eval) must run the exact function that training differentiates
+    p = iat_init(rng=philox(12))
+    rng = np.random.default_rng(13)
+    for _, t in named_parameters(p):
+        t.data = t.data + rng.normal(0, 0.05, t.data.shape).astype(np.float32)
+    img = rand_image(rng, h, w)
+    untaped, _ = iat_forward(img, p)
+    with Tape() as tape:
+        taped, _ = iat_forward(img, p)
+        assert len(tape) > 0
+    np.testing.assert_array_equal(untaped.data, taped.data)
 
 
 # ---------------------------------------------------------------------------

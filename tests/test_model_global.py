@@ -32,7 +32,7 @@ def test_encoder_output_size(h, w, eh, ew):
     enc, _ = make_branch()
     img = Tensor(np.random.default_rng(0).random((1, 3, h, w)).astype(np.float32))
     out = encoder_forward(img, enc)
-    assert out.shape == (1, enc.d, eh, ew)
+    assert out.shape == (1, enc.conv2.weight.shape[0], eh, ew)
 
 
 def test_encoder_rejects_tiny_images():

@@ -207,7 +207,6 @@ def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups):
     x = p64((n, cin, 5, 6), rng)
     w = p64((cout, cin // groups, k, k), rng, 0.5)
     b = p64((cout,), rng)
-    t = rng.standard_normal((1,))  # fold output through a nonlinearity
 
     def fwd():
         y = conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
@@ -219,7 +218,6 @@ def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups):
     assert_grads_close(x.grad, nx, label="conv x")
     assert_grads_close(w.grad, nw, label="conv w")
     assert_grads_close(b.grad, nb, label="conv bias")
-    del t
 
 
 # ---------------------------------------------------------------------------
