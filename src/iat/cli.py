@@ -23,6 +23,7 @@ from .errors import (
     ShapeError,
     TrainingDiverged,
 )
+from .fileio import atomic_open
 from .image_io import image_to_tensor, load_image, save_image, tensor_to_image
 from .isp import PROFILES, degrade, sample_degradation
 from .metrics import MetricReport
@@ -278,7 +279,7 @@ def cmd_eval(args) -> int:
         print(f"{s.name}: psnr {report.psnr_values[-1]:.2f} ssim {report.ssim_values[-1]:.4f}")
     print(f"mean: psnr {report.mean_psnr:.2f} ssim {report.mean_ssim:.4f}")
     if args.csv:
-        with open(args.csv, "w") as fh:
+        with atomic_open(args.csv) as fh:
             fh.write("image,psnr,ssim\n")
             for name, p_, s_ in zip(report.names, report.psnr_values, report.ssim_values):
                 fh.write(f"{name},{p_:.4f},{s_:.6f}\n")

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DecodeError, InputError, ShapeError
+from .fileio import atomic_open
 from .tensor import Tensor
 
 _PNG_SIG = b"\x89PNG\r\n\x1a\n"
@@ -294,7 +295,8 @@ def save_image(img: ImageRGB, path) -> None:
         data = _encode_ppm(codes)
     else:
         raise ValueError(f"unsupported image extension {suffix!r} (use .png or .ppm)")
-    path.write_bytes(data)
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 def image_to_tensor(img: ImageRGB) -> Tensor:

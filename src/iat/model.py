@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptionError, FormatError, InputError
+from .fileio import atomic_open
 from .isp import compose_iat
 from .model_global import (
     EncoderParams,
@@ -181,7 +182,8 @@ def save_checkpoint(p: IATParams, path, step: int = 0) -> None:
         + bytes(payload)
     )
     body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    Path(path).write_bytes(body)
+    with atomic_open(path, "wb") as fh:
+        fh.write(body)
 
 
 def load_checkpoint(path) -> tuple[IATParams, int]:

@@ -3,7 +3,9 @@
 The operation set is exactly what the enhancement model and its losses need:
 broadcast elementwise arithmetic, direct 2-d convolution (full and depthwise),
 matmul, a clamped power op, a small activation zoo, softmax, reductions, and
-shape bookkeeping (reshape/transpose/slice).
+shape bookkeeping (reshape/transpose/slice). Convolution taps read 1-d
+windows of a flat zero-padded input, and the forward runs in cache-sized
+strips of output rows (see `conv2d`).
 
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
@@ -300,7 +302,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (direct shift-and-add; no im2col, no FFT)
+# convolution (direct shift-and-add over flat windows; no im2col, no FFT)
+
+# A forward strip covers as many output rows as keep its accumulator near
+# this many floats, so a strip's taps reread a working set that fits in L2.
+_STRIP_FLOATS = 1 << 17
 
 
 def conv2d(
@@ -313,9 +319,18 @@ def conv2d(
 ) -> Tensor:
     """2-d convolution on NCHW input with [Cout, Cin/groups, kh, kw] weights.
 
-    Two kinds, each with one code path at any batch size: full (groups=1)
-    and depthwise (groups=Cin=Cout, weights [C, 1, kh, kw]). Any other
-    `groups` raises ConfigurationError. Padding is symmetric and zero.
+    Two kinds, each with one code path at any batch size and stride: full
+    (groups=1) and depthwise (groups=Cin=Cout, weights [C, 1, kh, kw]). Any
+    other `groups` raises ConfigurationError. Padding is symmetric and zero.
+
+    x is zero-padded once into flat planes of row width wp = W + 2*padding.
+    Output (yo, xo) sits at j = yo*wp + xo of an (Ho, wp) grid whose columns
+    xo >= Wo are junk, and tap (dy, dx) reads the 1-d window of the flat
+    plane at stride*j + dy*wp + dx: contiguous at stride 1, one uniform
+    stride otherwise. Full taps are one matmul of the (Cout, Cin) tap weights
+    on the window, depthwise taps one broadcast multiply. The forward runs in
+    strips of output rows and writes each strip's valid columns, plus bias,
+    straight into the output.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
@@ -340,38 +355,48 @@ def conv2d(
         )
 
     depthwise = groups != 1
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    wp = wdt + 2 * padding
+    offsets = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
+    # enough zero rows that the last tap's window over the whole grid fits
+    rows = max(h + 2 * padding, -(-(stride * (ho * wp - 1) + offsets[-1] + 1) // wp))
+    if (rows, padding) == (h, 0):
+        xf = x.data.reshape(n, cin, h * wdt)
     else:
-        xp = x.data
-    # (dy, dx, window of xp that tap reads), shared by forward and backward
-    taps = [
-        (dy, dx, np.s_[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride])
-        for dy in range(kh)
-        for dx in range(kw)
-    ]
+        xpad = np.zeros((n, cin, rows, wp), dtype=x.data.dtype)
+        xpad[:, :, padding : padding + h, padding : padding + wdt] = x.data
+        xf = xpad.reshape(n, cin, rows * wp)
 
-    if depthwise:
-        # accumulate straight into NCHW; tmp is reused so taps allocate nothing
-        wc = w.data[:, 0, :, :, None, None]  # (C, kh, kw, 1, 1)
-        (dy, dx, sl), *rest = taps
-        data = wc[:, dy, dx] * xp[sl]
-        tmp = np.empty_like(data)
-        for dy, dx, sl in rest:
-            np.multiply(wc[:, dy, dx], xp[sl], out=tmp)
-            data += tmp
-    else:
-        # one gemm per tap into (Cout, N, Ho, Wo); moving N back is free at N=1
-        contribs = (
-            np.tensordot(w.data[:, :, dy, dx], xp[sl], axes=([1], [1]))
-            for dy, dx, sl in taps
-        )
-        acc = next(contribs)
-        for c in contribs:
-            acc += c
-        data = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
-    if bias is not None:
-        data += bias.data[None, :, None, None]
+    def window(flat, j0, m, off):
+        """The (N, C, m) window tap `off` reads for grid cells [j0, j0 + m)."""
+        start = stride * j0 + off
+        return flat[:, :, start : start + stride * (m - 1) + 1 : stride]
+
+    # per-tap weights: (C, 1) broadcast over a window, or (Cout, Cin) for matmul
+    wt = np.ascontiguousarray(np.moveaxis(w.data.reshape(cout, cpg, kh * kw), 2, 0))
+    dtype = np.result_type(x.data, w.data)
+
+    data = np.empty((n, cout, ho, wo), dtype=dtype)
+    band = max(1, _STRIP_FLOATS // (n * cout * wp))  # output rows per strip
+    acc = np.empty(n * cout * min(band, ho) * wp, dtype=dtype)
+    tmp = np.empty_like(acc)
+    for y0 in range(0, ho, band):
+        y1 = min(y0 + band, ho)
+        m = (y1 - y0) * wp
+        a = acc[: n * cout * m].reshape(n, cout, m)
+        t = tmp[: n * cout * m].reshape(n, cout, m)
+        for i, off in enumerate(offsets):
+            win = window(xf, y0 * wp, m, off)
+            if depthwise:
+                np.multiply(wt[i], win, out=t if i else a)
+            else:
+                np.matmul(wt[i], win, out=t if i else a)
+            if i:
+                a += t
+        valid = a.reshape(n, cout, y1 - y0, wp)[:, :, :, :wo]
+        if bias is not None:
+            np.add(valid, bias.data[:, None, None], out=data[:, :, y0:y1])
+        else:
+            data[:, :, y0:y1] = valid
 
     def rule(g):
         if bias is not None and bias.requires_grad:
@@ -380,39 +405,37 @@ def conv2d(
         need_w = w.requires_grad
         if not (need_x or need_w):
             return
-        # one 1x1 stride-1 tap reads all of x, so its gradient needs no zeroed buffer
+        # a full 1x1 stride-1 unpadded conv has no junk columns and one gemm over all of x
         whole = not depthwise and (kh, kw, stride, padding) == (1, 1, 1, 0)
-        gxp = np.zeros_like(xp) if need_x and not whole else None
-        gw = np.zeros_like(w.data) if need_w else None
-        if depthwise:
-            tmp = np.empty_like(g) if need_w else None
-            for dy, dx, sl in taps:
-                if need_w:
-                    np.multiply(g, xp[sl], out=tmp)
-                    gw[:, 0, dy, dx] = tmp.sum(axis=(0, 2, 3))
-                if need_x:
-                    gxp[sl] += wc[:, dy, dx] * g
+        m = ho * wp
+        if whole:
+            gf = g.reshape(n, cout, m)
         else:
-            # np.tensordot's own gemms, with g laid out once instead of per tap
-            g2 = g.transpose(1, 0, 2, 3).reshape(cout, n * ho * wo)
-            for dy, dx, sl in taps:
-                if need_w:
-                    xs2 = xp[sl].transpose(0, 2, 3, 1).reshape(n * ho * wo, cin)
-                    gw[:, :, dy, dx] = np.dot(g2, xs2)
-                if need_x:
-                    gx = np.dot(w.data[:, :, dy, dx].T, g2).reshape(cin, n, ho, wo)
-                    gx = np.moveaxis(gx, 0, 1)
-                    if whole:
-                        gxp = gx
-                    else:
-                        gxp[sl] += gx
+            gf = np.zeros((n, cout, ho, wp), dtype=g.dtype)
+            gf[:, :, :, :wo] = g
+            gf = gf.reshape(n, cout, m)
         if need_w:
-            _accumulate(w, gw)
-        if need_x:
-            if padding:
-                _accumulate(x, gxp[:, :, padding:-padding, padding:-padding])
-            else:
-                _accumulate(x, gxp)
+            gw = np.empty((cout, cpg, kh * kw), dtype=w.data.dtype)
+            for i, off in enumerate(offsets):
+                win = window(xf, 0, m, off)
+                if depthwise:  # one dot per channel
+                    gwi = np.matmul(gf[:, :, None, :], win[:, :, :, None])
+                else:
+                    gwi = np.matmul(gf, win.transpose(0, 2, 1))
+                gw[:, :, i] = gwi.sum(axis=0).reshape(cout, cpg)
+            _accumulate(w, gw.reshape(w.data.shape))
+        if need_x and whole:
+            _accumulate(x, np.matmul(wt[0].T, gf).reshape(x.data.shape))
+        elif need_x:
+            gxf = np.zeros(xf.shape, dtype=x.data.dtype)
+            for i, off in enumerate(offsets):
+                win = window(gxf, 0, m, off)
+                if depthwise:
+                    win += wt[i] * gf
+                else:
+                    win += np.matmul(wt[i].T, gf)
+            gxp = gxf.reshape(n, cin, rows, wp)
+            _accumulate(x, gxp[:, :, padding : padding + h, padding : padding + wdt])
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _emit(data, inputs, rule)

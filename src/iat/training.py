@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ShapeError, TrainingDiverged
+from .fileio import atomic_open
 from .image_io import ImageRGB, image_to_tensor, tensor_to_image
 from .model import IATConfig, IATParams, iat_forward, iat_init, named_parameters
 from .rng import philox
@@ -328,7 +329,7 @@ def train_loop(
 
 
 def write_metrics_csv(rows: list[LogRow], path):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("step,lr,loss,psnr_val\n")
         for r in rows:
             psnr = "" if r.psnr_val is None else f"{r.psnr_val:.4f}"

@@ -271,21 +271,30 @@ def reference_unfilter(raw: bytes, width: int, height: int, bpp: int) -> np.ndar
     return out.reshape(height, width, bpp)
 
 
+ALL_FILTERS = (0, 1, 2, 3, 4)
+NONE_UP = (0, 2)  # the filters `_encode_png` writes read no left neighbour
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 40),
     st.integers(1, 40),
     st.sampled_from([3, 4]),
     st.sampled_from([256, 3]),  # 3 symbols make Paeth ties common
+    st.sampled_from([ALL_FILTERS, NONE_UP]),
     st.integers(0, 2**31 - 1),
 )
-@example(1, 40, 3, 256, 0)
-@example(40, 1, 4, 256, 1)
-@example(1, 1, 3, 3, 2)
-@example(40, 40, 4, 3, 3)
-def test_unfilter_matches_reference(height, width, bpp, symbols, seed):
+@example(1, 40, 3, 256, ALL_FILTERS, 0)
+@example(40, 1, 4, 256, ALL_FILTERS, 1)
+@example(1, 1, 3, 3, ALL_FILTERS, 2)
+@example(40, 40, 4, 3, ALL_FILTERS, 3)
+# None/Up only: width 1 (bands of 2 rows), and a band boundary after row 6
+@example(40, 1, 3, 256, NONE_UP, 4)
+@example(7, 3, 4, 256, NONE_UP, 5)
+@example(1, 1, 3, 3, NONE_UP, 6)
+def test_unfilter_matches_reference(height, width, bpp, symbols, filters, seed):
     rng = np.random.default_rng(seed)
-    kinds = rng.integers(0, 5, (height, 1), dtype=np.uint8)
+    kinds = rng.choice(np.array(filters, dtype=np.uint8), (height, 1))
     data = rng.integers(0, symbols, (height, width * bpp), dtype=np.uint8)
     raw = np.concatenate([kinds, data], axis=1).tobytes()
     got = _unfilter_scanlines(raw, width, height, bpp)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iat import tensor
 from iat.errors import ConfigurationError, ContractError, ShapeError
 from iat.tensor import (
     Tape,
@@ -55,6 +56,41 @@ def conv2d_loop(x, w, bias, stride, padding, groups):
                                 )
                     out[n, co, i, j] = acc
     return out
+
+
+def conv2d_taps_reference(x, w, bias, stride, padding, groups):
+    """Per-tap NCHW forward convolution, the kernel before flat windows.
+
+    Each tap is a 2-d strided slice of the padded input: depthwise multiplies
+    it by a (C, 1, 1) weight and adds, full runs one tensordot per tap into
+    (Cout, N, Ho, Wo). Both sum the taps in the order conv2d does, then add
+    the bias, so depthwise results must match bit for bit.
+    """
+    n, cin, h, wdt = x.shape
+    cout, cpg, kh, kw = w.shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wdt + 2 * padding - kw) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    taps = [
+        (dy, dx, np.s_[:, :, dy : dy + stride * ho : stride, dx : dx + stride * wo : stride])
+        for dy in range(kh)
+        for dx in range(kw)
+    ]
+    if groups != 1:
+        wc = w[:, 0, :, :, None, None]
+        (dy, dx, sl), *rest = taps
+        data = wc[:, dy, dx] * xp[sl]
+        for dy, dx, sl in rest:
+            data += wc[:, dy, dx] * xp[sl]
+    else:
+        acc = None
+        for dy, dx, sl in taps:
+            c = np.tensordot(w[:, :, dy, dx], xp[sl], axes=([1], [1]))
+            acc = c if acc is None else acc + c
+        data = np.ascontiguousarray(np.moveaxis(acc, 0, 1))
+    if bias is not None:
+        data += bias[None, :, None, None]
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +215,53 @@ def test_conv_matches_loop_oracle(n, cin, cout, h, w, k, stride, padding, groups
     np.testing.assert_allclose(out.data, ref, atol=1e-6)
 
 
+# (cin, cout, k, stride, padding, groups) of every conv the default model runs
+MODEL_CONVS = [
+    (3, 16, 3, 1, 1, 1),  # local stem
+    (16, 16, 3, 1, 1, 16),  # PEM depthwise
+    (16, 16, 1, 1, 0, 1),  # PEM 1x1 and light norm
+    (16, 3, 3, 1, 1, 1),  # gain/offset heads
+    (3, 40, 3, 2, 1, 1),  # encoder conv1
+    (40, 80, 3, 2, 1, 1),  # encoder conv2
+    (80, 80, 3, 1, 1, 80),  # query positional depthwise
+]
+
+
+@pytest.mark.parametrize(
+    "n,h,w,conv,multi_strip",
+    [(1, 64, 64, c, False) for c in MODEL_CONVS]
+    + [(1, 37, 53, c, False) for c in MODEL_CONVS]
+    + [
+        (2, 37, 53, (16, 16, 3, 1, 1, 16), False),
+        (2, 37, 53, (40, 80, 3, 2, 1, 1), False),
+        # two or more strips, the last one ragged
+        (1, 70, 130, (16, 16, 3, 1, 1, 16), True),
+        (1, 70, 50, (40, 80, 3, 2, 1, 1), True),
+        (1, 70, 130, (16, 16, 1, 1, 0, 1), True),
+        (2, 33, 130, (16, 16, 3, 1, 1, 16), True),
+    ],
+)
+def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
+    cin, cout, k, stride, padding, groups = conv
+    rng = np.random.default_rng(h * w + cin)
+    x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
+    wt = rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32)
+    b = rng.standard_normal(cout).astype(np.float32)
+    out = conv2d(
+        Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding, groups=groups
+    ).data
+    ref = conv2d_taps_reference(x, wt, b, stride, padding, groups)
+    if multi_strip:
+        rows_per_strip = tensor._STRIP_FLOATS // (n * cout * (w + 2 * padding))
+        ho = ref.shape[2]
+        assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
+    if groups != 1:
+        np.testing.assert_array_equal(out, ref)
+    else:
+        # BLAS may block the per-tap gemms differently from tensordot's
+        np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-6)
+
+
 def test_conv_group_mismatch():
     x = Tensor(np.zeros((1, 3, 4, 4)))
     w = Tensor(np.zeros((4, 3, 3, 3)))
@@ -191,20 +274,29 @@ def test_conv_group_mismatch():
         conv2d(x, w, padding=1, groups=2)
 
 
+CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width
+    (1, 3, 4, 3, 1, 1, 1, 6),  # full 3x3
+    (2, 3, 4, 3, 2, 1, 1, 6),  # full 3x3, stride 2, batch 2
+    (1, 4, 4, 3, 2, 1, 4, 6),  # depthwise 3x3, stride 2
+    (2, 4, 4, 3, 1, 1, 4, 6),  # depthwise 3x3, batch 2
+    (1, 3, 5, 3, 1, 0, 1, 6),
+    (1, 3, 5, 1, 1, 0, 1, 6),  # 1x1
+    (1, 4, 4, 1, 1, 0, 4, 6),  # depthwise 1x1
+    # an odd width leaves a partial last stride: its junk grid columns must not leak
+    (2, 3, 4, 3, 2, 1, 1, 7),
+    (2, 3, 3, 3, 2, 1, 3, 7),
+]
+
+
 @pytest.mark.parametrize(
-    "n,cin,cout,k,stride,padding,groups",
-    [
-        (1, 3, 4, 3, 1, 1, 1),  # full 3x3
-        (2, 3, 4, 3, 2, 1, 1),  # full 3x3, stride 2, batch 2
-        (1, 4, 4, 3, 2, 1, 4),  # depthwise 3x3, stride 2
-        (2, 4, 4, 3, 1, 1, 4),  # depthwise 3x3, batch 2
-        (1, 3, 5, 3, 1, 0, 1),
-        (1, 3, 5, 1, 1, 0, 1),  # 1x1
-    ],
+    "n,cin,cout,k,stride,padding,groups,width",
+    CONV_FD_CASES,
+    # the default width 6 is left out of the ids
+    ids=["-".join(map(str, c[:7] if c[7] == 6 else c)) for c in CONV_FD_CASES],
 )
-def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups):
+def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width):
     rng = np.random.default_rng(11)
-    x = p64((n, cin, 5, 6), rng)
+    x = p64((n, cin, 5, width), rng)
     w = p64((cout, cin // groups, k, k), rng, 0.5)
     b = p64((cout,), rng)
 
