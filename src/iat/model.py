@@ -120,9 +120,10 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     """Analytic multiply-accumulate counts, reported as GFLOPs (1 MAC = 1 FLOP).
 
     Counts convolutions, linear projections and attention products, like
-    standard profilers; normalization affine/mixing and activations are
-    excluded. The published counting convention is unknown, so this estimator
-    documents its own.
+    standard profilers; activations are excluded. The local blocks' norms and
+    layer scales are folded into their convs' weights (`pem_forward`), so
+    they cost no per-pixel MACs and are not counted. The published counting
+    convention is unknown, so this estimator documents its own.
     """
     if height < 4 or width < 4:
         raise InputError(f"resolution {height}x{width} below the 4x4 minimum")

@@ -11,7 +11,7 @@ and layer scales at 1e-2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,8 +60,10 @@ def kaiming_conv(rng, out_ch, in_ch_per_group, k, dtype, stride=1, padding=0, gr
 class LightNormParams:
     """Statistics-free normalization: per-channel affine, then channel mixing.
 
-    No mean/variance is computed, so the op is resolution-independent and is
-    the identity map at initialization (scale 1, bias 0, mix = I).
+    Per pixel it maps x to mix @ (scale * x + bias). No mean/variance is
+    computed, so it is resolution-independent and the identity at
+    initialization (scale 1, bias 0, mix = I). It never runs as a pass over
+    the pixels: `fold_norm` composes it into the 1x1 conv that follows it.
     """
 
     scale: Tensor  # (C,)
@@ -77,18 +79,24 @@ class LightNormParams:
         )
 
 
-def light_norm(x: Tensor, p: LightNormParams) -> Tensor:
-    """Per pixel: mix @ (scale * x_channels + bias).
+def fold_norm(norm: LightNormParams, conv: Conv2d) -> Conv2d:
+    """The 1x1 conv equal to `conv` applied after `norm`.
 
-    Folded as one 1x1 convolution with weight mix @ diag(scale) and bias
-    mix @ bias, which is the same map in a single pass over the pixels.
+    With A = W @ mix, weight A @ diag(scale) and bias A @ bias + b: per pixel
+    W @ (mix @ (scale * x + bias)) + b. Built from O(C^2) tape ops, so
+    gradients flow back to the norm and the conv parameters.
     """
-    c = p.scale.shape[0]
-    if x.ndim != 4 or x.shape[1] != c:
-        raise ShapeError(f"light_norm expects (N, {c}, H, W), got {x.shape}")
-    weight = reshape(p.mix * reshape(p.scale, (1, c)), (c, c, 1, 1))
-    bias = reshape(matmul(p.mix, reshape(p.bias, (c, 1))), (c,))
-    return conv2d(x, weight, bias)
+    c = norm.scale.shape[0]
+    a = matmul(reshape(conv.weight, (c, c)), norm.mix)
+    weight = reshape(a * reshape(norm.scale, (1, c)), (c, c, 1, 1))
+    bias = reshape(matmul(a, reshape(norm.bias, (c, 1))), (c,)) + conv.bias
+    return Conv2d(weight, bias)
+
+
+def fold_scale(k: Tensor, conv: Conv2d) -> Conv2d:
+    """The 1x1 conv equal to `k * conv(x)` with k per output channel."""
+    c = k.shape[0]
+    return Conv2d(reshape(k, (c, 1, 1, 1)) * conv.weight, k * conv.bias)
 
 
 @dataclass
@@ -141,13 +149,31 @@ def pem_init(channels: int, rng, dtype=np.float32) -> PemParams:
 
 
 def pem_forward(x: Tensor, p: PemParams) -> Tensor:
-    """Positional encoding, spatial sub-block, channel sub-block, all residual."""
-    c = x.shape[1]
-    u = x + p.pos_dw(x)
-    spatial = p.pw2(gelu(p.dw(gelu(p.pw1(light_norm(u, p.norm1))))))
-    v = u + reshape(p.scale.k_spatial, (1, c, 1, 1)) * spatial
-    channel = p.mix2(gelu(p.mix1(light_norm(v, p.norm2))))
-    return v + reshape(p.scale.k_channel, (1, c, 1, 1)) * channel
+    """Positional encoding, spatial sub-block, channel sub-block, all residual:
+
+        u = x + pos_dw(x)
+        v = u + k_spatial * pw2(gelu(dw(gelu(pw1(norm1(u))))))
+        out = v + k_channel * mix2(gelu(mix1(norm2(v))))
+
+    The linear pieces are folded into the convs' weights first (structural
+    re-parameterization, on the tape): the residual is +1 on pos_dw's centre
+    tap, each norm is composed into the 1x1 after it (`fold_norm`), and each
+    layer scale into the 1x1 before it (`fold_scale`). A plane then passes
+    through 6 convs, 3 GELUs and 2 adds.
+    """
+    c = p.scale.k_spatial.shape[0]
+    if x.ndim != 4 or x.shape[1] != c:
+        raise ShapeError(f"pem_forward expects (N, {c}, H, W), got {x.shape}")
+    w = p.pos_dw.weight
+    centre = np.zeros(w.shape, dtype=w.dtype)
+    centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
+    u = replace(p.pos_dw, weight=w + Tensor(centre))(x)
+    pw1 = fold_norm(p.norm1, p.pw1)
+    pw2 = fold_scale(p.scale.k_spatial, p.pw2)
+    v = u + pw2(gelu(p.dw(gelu(pw1(u)))))
+    mix1 = fold_norm(p.norm2, p.mix1)
+    mix2 = fold_scale(p.scale.k_channel, p.mix2)
+    return v + mix2(gelu(mix1(v)))
 
 
 @dataclass

@@ -504,11 +504,20 @@ def activation(x: Tensor, kind: str) -> Tensor:
         data *= 0.5 * xd
 
         def rule(g):
+            # 0.5*(1+t) + 0.5*x*(1-t*t)*c*(1+3a*x*x), times g, in place
             t = _gelu_tanh(xd)
-            deriv = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * _GELU_C * (
-                1.0 + 3.0 * _GELU_A * xd * xd
-            )
-            _accumulate(x, g * deriv)
+            d = xd * xd
+            d *= 3.0 * _GELU_A
+            d += 1.0
+            d *= _GELU_C
+            d *= xd
+            d *= 0.5
+            d *= 1.0 - t * t
+            t += 1.0
+            t *= 0.5
+            d += t
+            d *= g
+            _accumulate(x, d)
 
     else:
         raise ConfigurationError(f"unknown activation kind {kind!r}")

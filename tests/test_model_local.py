@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 from iat.errors import ShapeError
 from iat.model import named_parameters
 from iat.model_local import (
+    Conv2d,
     LightNormParams,
-    light_norm,
+    PemParams,
+    fold_norm,
     local_branch_forward,
     local_branch_init,
     pem_forward,
     pem_init,
 )
 from iat.rng import philox
-from iat.tensor import Tape, Tensor
+from iat.tensor import Tape, Tensor, conv2d, gelu, matmul, reshape
 
 from fdcheck import assert_grads_close, numeric_grad
 
@@ -24,25 +26,37 @@ def to_tensor64(arr):
 
 
 # ---------------------------------------------------------------------------
-# light normalization
+# light normalization, folded into the 1x1 conv after it
 
 
-def test_light_norm_identity_at_init():
+def conv1x1(weight, bias, dtype=np.float32):
+    c = len(bias)
+    return Conv2d(
+        weight=Tensor(np.reshape(weight, (c, c, 1, 1)), requires_grad=True, dtype=dtype),
+        bias=Tensor(bias, requires_grad=True, dtype=dtype),
+    )
+
+
+def test_fold_norm_identity_at_init():
     rng = np.random.default_rng(0)
+    conv = pem_init(8, philox(0)).pw1
+    conv.bias.data = rng.standard_normal(8).astype(np.float32)
+    folded = fold_norm(LightNormParams.identity(8), conv)
+    np.testing.assert_array_equal(folded.weight.data, conv.weight.data)
+    np.testing.assert_array_equal(folded.bias.data, conv.bias.data)
     x = Tensor(rng.standard_normal((1, 8, 5, 5)).astype(np.float32))
-    out = light_norm(x, LightNormParams.identity(8))
-    np.testing.assert_array_equal(out.data, x.data)
+    np.testing.assert_array_equal(folded(x).data, conv(x).data)
 
 
-def test_light_norm_scale_example():
+def test_fold_norm_scale_example():
     p = LightNormParams.identity(4)
     p.scale.data = np.full(4, 2.0, dtype=np.float32)
     x = Tensor(np.full((1, 4, 2, 2), 0.5, dtype=np.float32))
-    out = light_norm(x, p)
+    out = fold_norm(p, conv1x1(np.eye(4), np.zeros(4)))(x)
     np.testing.assert_allclose(out.data, 1.0)
 
 
-def test_light_norm_matches_per_pixel_oracle():
+def test_fold_norm_matches_per_pixel_oracle():
     rng = np.random.default_rng(1)
     c = 6
     x = rng.standard_normal((1, c, 3, 4))
@@ -50,21 +64,55 @@ def test_light_norm_matches_per_pixel_oracle():
     p.scale.data = rng.standard_normal(c)
     p.bias.data = rng.standard_normal(c)
     p.mix.data = rng.standard_normal((c, c))
-    out = light_norm(Tensor(x), p)
+    w, b = rng.standard_normal((c, c)), rng.standard_normal(c)
+    folded = fold_norm(p, conv1x1(w, b, dtype=np.float64))
+    np.testing.assert_allclose(
+        folded.weight.data.reshape(c, c), w @ p.mix.data @ np.diag(p.scale.data), atol=1e-12
+    )
+    np.testing.assert_allclose(folded.bias.data, w @ (p.mix.data @ p.bias.data) + b, atol=1e-12)
+    out = folded(Tensor(x))
     ref = np.zeros_like(x)
     for i in range(3):
         for j in range(4):
-            ref[0, :, i, j] = p.mix.data @ (p.scale.data * x[0, :, i, j] + p.bias.data)
-    np.testing.assert_allclose(out.data, ref, atol=1e-6)
+            ref[0, :, i, j] = w @ (p.mix.data @ (p.scale.data * x[0, :, i, j] + p.bias.data)) + b
+    np.testing.assert_allclose(out.data, ref, atol=1e-12)
 
 
-def test_light_norm_channel_mismatch():
+def test_pem_channel_mismatch():
+    x = Tensor(np.zeros((1, 4, 2, 2), dtype=np.float32))
     with pytest.raises(ShapeError):
-        light_norm(Tensor(np.zeros((1, 4, 2, 2))), LightNormParams.identity(8))
+        pem_forward(x, pem_init(8, philox(0)))
 
 
 # ---------------------------------------------------------------------------
 # enhancement blocks
+
+
+def light_norm_reference(x: Tensor, p: LightNormParams) -> Tensor:
+    """The unfolded norm as one 1x1 pass over the pixels: mix @ (scale*x + bias)."""
+    c = p.scale.shape[0]
+    weight = reshape(p.mix * reshape(p.scale, (1, c)), (c, c, 1, 1))
+    bias = reshape(matmul(p.mix, reshape(p.bias, (c, 1))), (c,))
+    return conv2d(x, weight, bias)
+
+
+def pem_forward_reference(x: Tensor, p: PemParams) -> Tensor:
+    """The unfolded block: every norm, layer scale and residual a plane pass."""
+    c = x.shape[1]
+    u = x + p.pos_dw(x)
+    spatial = p.pw2(gelu(p.dw(gelu(p.pw1(light_norm_reference(u, p.norm1))))))
+    v = u + reshape(p.scale.k_spatial, (1, c, 1, 1)) * spatial
+    channel = p.mix2(gelu(p.mix1(light_norm_reference(v, p.norm2))))
+    return v + reshape(p.scale.k_channel, (1, c, 1, 1)) * channel
+
+
+def perturbed_pem(channels, seed, dtype=np.float32) -> PemParams:
+    """A block with N(0, 0.2) added to every parameter, norms and layer scales too."""
+    p = pem_init(channels, philox(seed), dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for _, t in named_parameters(p):
+        t.data = (t.data + rng.normal(0, 0.2, t.shape)).astype(dtype)
+    return p
 
 
 def test_pem_zero_convs_is_identity():
@@ -78,6 +126,53 @@ def test_pem_zero_convs_is_identity():
     np.testing.assert_array_equal(out.data, x.data)
 
 
+@pytest.mark.parametrize("hw", [(1, 1), (37, 53), (64, 64)])
+def test_pem_forward_matches_reference(hw):
+    # float32; folding reorders the sums, so the outputs (|y| up to ~13) agree to
+    # a few 1e-6 absolute
+    p = perturbed_pem(16, 12)
+    x = Tensor(np.random.default_rng(13).standard_normal((1, 16) + hw).astype(np.float32))
+    np.testing.assert_allclose(
+        pem_forward(x, p).data, pem_forward_reference(x, p).data, rtol=1e-5, atol=1e-5
+    )
+
+
+def pem_grads(forward, p, x, r):
+    """Input and parameter gradients of sum(forward(x) * r)."""
+    for _, t in named_parameters(p):
+        t.grad = None
+    x.grad = None
+    with Tape() as tape:
+        tape.backward((forward(x, p) * Tensor(r)).sum())
+    return [("x", x.grad)] + [(name, t.grad) for name, t in named_parameters(p)]
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_pem_gradients_match_reference(dtype, tol):
+    # tolerance relative to the largest entry of each gradient
+    p = perturbed_pem(16, 14, dtype)
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.standard_normal((1, 16, 9, 11)), requires_grad=True, dtype=dtype)
+    r = rng.standard_normal((1, 16, 9, 11)).astype(dtype)
+    folded = pem_grads(pem_forward, p, x, r)
+    reference = pem_grads(pem_forward_reference, p, x, r)
+    for (name, got), (_, want) in zip(folded, reference):
+        assert got.dtype == want.dtype == dtype, name
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=tol * np.abs(want).max(), err_msg=name
+        )
+
+
+def test_pem_plane_op_budget():
+    # a plane may pass through the folded convs, GELUs and residual adds only
+    p = pem_init(8, philox(16))
+    x = Tensor(np.random.default_rng(17).standard_normal((1, 8, 16, 20)).astype(np.float32))
+    with Tape() as tape:
+        pem_forward(x, p)
+        plane_ops = sum(out.shape == x.shape for out, _ in tape._ops)
+    assert plane_ops == 11  # 6 convs, 3 GELUs, 2 adds
+
+
 @pytest.mark.parametrize("hw", [(1, 1), (7, 13), (400, 600)])
 def test_pem_preserves_arbitrary_resolution(hw):
     h, w = hw
@@ -88,7 +183,9 @@ def test_pem_preserves_arbitrary_resolution(hw):
 
 
 def test_pem_gradients_match_fd():
-    p = pem_init(16, philox(2), dtype=np.float64)
+    # norms and layer scales away from their init too, so the gradients of
+    # their folds are checked where they are not trivial
+    p = perturbed_pem(16, 2, dtype=np.float64)
     rng = np.random.default_rng(4)
     x = Tensor(rng.standard_normal((1, 16, 4, 4)))
     names, tensors = zip(*named_parameters(p))
