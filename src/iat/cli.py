@@ -38,7 +38,7 @@ from .model import (
     save_checkpoint,
 )
 from .rng import philox
-from .training import Sample, TrainConfig, train_loop, write_metrics_csv
+from .training import LOSS_KINDS, Sample, TrainConfig, train_loop, write_metrics_csv
 
 EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2
 
@@ -349,7 +349,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--crop-size", dest="crop_size", type=int)
-    p.add_argument("--loss", choices=("l1", "mixed", "mixed_raw"))
+    p.add_argument("--loss", choices=LOSS_KINDS)
     p.add_argument("--lambda-raw", dest="lambda_raw", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--eval-every", dest="eval_every", type=int)

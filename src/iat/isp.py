@@ -3,7 +3,7 @@
 The enhancement model's global correction is a 3x3 color transform followed
 by a clamped power law:
 
-    out[c_i] = max(sum_j W[c_i, c_j] * x[c_j], eps) ** gamma
+    out[c_i] = max(sum_j W[c_i, c_j] * x[c_j], CLAMP_EPS) ** gamma
 
 applied per pixel. The degradation simulator runs the inverse direction to
 manufacture training pairs from clean sRGB images: linearize, scale exposure,
@@ -24,13 +24,17 @@ from .tensor import Tensor, matmul, pow_clamped, reshape
 # exactly invertible by the model's global operation.
 LINEARIZE_EXPONENT = 2.2
 
+# Floor of the power law's base: it keeps the base positive, so any gamma and
+# the gamma gradient's log stay finite.
+CLAMP_EPS = 1e-8
+
 #: Linear-domain (pre-gamma) image: H x W x 3 floats >= 0, not bounded above.
 LinearImage = np.ndarray
 
 
 @dataclass
 class GlobalParams:
-    """3x3 color transform + gamma exponent + clamp floor.
+    """3x3 color transform + gamma exponent (the clamp floor is CLAMP_EPS).
 
     color_matrix and gamma may be graph tensors (model outputs) or plain
     constants wrapped in tensors for analytic use.
@@ -38,23 +42,20 @@ class GlobalParams:
 
     color_matrix: Tensor
     gamma: Tensor
-    eps: float = 1e-8
 
     def __post_init__(self):
         if tuple(self.color_matrix.shape) != (3, 3):
             raise ShapeError(f"color matrix must be 3x3, got {self.color_matrix.shape}")
         if self.gamma.size != 1:
             raise ShapeError(f"gamma must be scalar, got shape {self.gamma.shape}")
-        if self.eps <= 0:
-            raise ConfigurationError(f"eps must be > 0, got {self.eps}")
 
     @classmethod
-    def identity(cls, eps: float = 1e-8) -> "GlobalParams":
-        return cls(Tensor(np.eye(3, dtype=np.float32)), Tensor(1.0), eps)
+    def identity(cls) -> "GlobalParams":
+        return cls(Tensor(np.eye(3, dtype=np.float32)), Tensor(1.0))
 
     @classmethod
-    def from_values(cls, matrix, gamma: float, eps: float = 1e-8) -> "GlobalParams":
-        return cls(Tensor(np.asarray(matrix, dtype=np.float64)), Tensor(float(gamma)), eps)
+    def from_values(cls, matrix, gamma: float) -> "GlobalParams":
+        return cls(Tensor(np.asarray(matrix, dtype=np.float64)), Tensor(float(gamma)))
 
 
 @dataclass
@@ -126,7 +127,7 @@ def apply_color_matrix(x: Tensor, matrix: Tensor) -> Tensor:
 
 def apply_global(x: Tensor, gp: GlobalParams) -> Tensor:
     """Color transform followed by the clamped power law."""
-    return pow_clamped(apply_color_matrix(x, gp.color_matrix), gp.gamma, gp.eps)
+    return pow_clamped(apply_color_matrix(x, gp.color_matrix), gp.gamma, CLAMP_EPS)
 
 
 def compose_iat(

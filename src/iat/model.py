@@ -21,13 +21,12 @@ from .isp import compose_iat
 from .model_global import (
     EncoderParams,
     GpmParams,
-    NUM_QUERIES,
     encoder_forward,
     global_branch_init,
     gpm_forward,
 )
-from .model_local import LocalBranchParams, local_branch_forward, local_branch_init
-from .tensor import Tensor
+from .model_local import Conv2d, LocalBranchParams, local_branch_forward, local_branch_init
+from .tensor import Tensor, conv_output_size
 
 CHECKPOINT_MAGIC = b"IATC"
 CHECKPOINT_VERSION = 1
@@ -87,19 +86,29 @@ def iat_forward_local(img: Tensor, p: IATParams) -> Tensor:
 # parameter traversal and accounting
 
 
-def named_parameters(obj, prefix: str = ""):
-    """Yield (dotted name, tensor) for every learnable tensor, field order."""
-    if isinstance(obj, Tensor):
-        if obj.requires_grad:
-            yield prefix, obj
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+def _tree(obj, prefix: str = ""):
+    """Yield (dotted name, node) for every node of a parameter tree, each
+    parent before its children, dataclass fields in order."""
+    yield prefix, obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         for f in dataclasses.fields(obj):
             name = f"{prefix}.{f.name}" if prefix else f.name
-            yield from named_parameters(getattr(obj, f.name), name)
+            yield from _tree(getattr(obj, f.name), name)
     elif isinstance(obj, (list, tuple)):
         for i, item in enumerate(obj):
-            yield from named_parameters(item, f"{prefix}.{i}")
-    # ints, floats, arrays and None are not learnable
+            yield from _tree(item, f"{prefix}.{i}")
+
+
+def named_parameters(obj, prefix: str = ""):
+    """Yield (dotted name, tensor) for every learnable tensor, field order."""
+    for name, node in _tree(obj, prefix):
+        if isinstance(node, Tensor) and node.requires_grad:
+            yield name, node
+
+
+def conv_layers(obj) -> list[Conv2d]:
+    """Every Conv2d in a parameter tree, field order."""
+    return [node for _, node in _tree(obj) if isinstance(node, Conv2d)]
 
 
 def count_params(p: IATParams) -> dict:
@@ -112,36 +121,40 @@ def count_params(p: IATParams) -> dict:
     return report
 
 
-def _ceil_half(n: int) -> int:
-    return (n + 1) // 2
-
-
 def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
-    """Analytic multiply-accumulate counts, reported as GFLOPs (1 MAC = 1 FLOP).
+    """Multiply-accumulate counts read off the parameter tree, reported as
+    GFLOPs (1 MAC = 1 FLOP).
 
     Counts convolutions, linear projections and attention products, like
-    standard profilers; activations are excluded. The local blocks' norms and
-    layer scales are folded into their convs' weights (`pem_forward`), so
-    they cost no per-pixel MACs and are not counted. The published counting
-    convention is unknown, so this estimator documents its own.
+    standard profilers; activations are excluded. A conv costs its weight
+    size per output pixel: every local conv keeps the image size, and each
+    encoder conv's output size comes from its stride and kernel. The
+    prediction module's matmuls cost their weight sizes per key/value pixel
+    or per query token. Left out: the O(C^3) matmuls that fold each block's
+    norms and layer scales into its convs (`pem_forward`; no per-pixel
+    cost) and the 9 MACs per pixel of the color-matrix product in
+    `compose_iat`. The published counting convention is unknown, so this
+    estimator documents its own.
     """
     if height < 4 or width < 4:
         raise InputError(f"resolution {height}x{width} below the 4x4 minimum")
-    c, blocks, d = config.channels, config.blocks, config.d
-    px = height * width
-    per_block = 9 * c + 9 * c + 3 * c * c + c * c  # pos_dw, dw, pw1/pw2/mix1, mix2
-    local_macs = px * (c * 3 * 9 + 2 * blocks * per_block + 2 * (3 * c * 9))
-    h1, w1 = _ceil_half(height), _ceil_half(width)
-    h2, w2 = _ceil_half(h1), _ceil_half(w1)
-    enc_macs = h1 * w1 * (d // 2) * 3 * 9 + h2 * w2 * d * (d // 2) * 9
-    kv_px = h2 * w2
+    p = iat_init(config)
+    local_macs = height * width * sum(c.weight.size for c in conv_layers(p.local))
+    enc_macs = 0
+    h, w = height, width
+    for conv in conv_layers(p.encoder):
+        k = conv.weight.shape[-1]
+        h, w = (conv_output_size(n, k, conv.stride, conv.padding) for n in (h, w))
+        enc_macs += h * w * conv.weight.size
+    g = p.gpm
+    kv_px = h * w
+    tokens = g.queries.shape[0]
     attn_macs = (
-        kv_px * 9 * d  # positional depthwise conv
-        + 2 * kv_px * d * d  # K and V projections
-        + 2 * NUM_QUERIES * kv_px * d  # scores and attention-weighted values
-        + NUM_QUERIES * d * d  # output projection
-        + NUM_QUERIES * 4 * d * d  # FFN
-        + NUM_QUERIES * d  # decoding heads
+        kv_px * (g.pos_dw.weight.size + g.w_k.size + g.w_v.size)  # positional conv, K, V
+        + 2 * kv_px * g.queries.size  # scores and attention-weighted values
+        + tokens * (g.w_out.size + g.ffn1_w.size + g.ffn2_w.size)  # output projection, FFN
+        + (tokens - 1) * g.head_color_w.size  # decoding heads: color tokens ...
+        + g.head_gamma_w.size  # ... and the one gamma token
     )
     scale = 1e-9
     local_g = local_macs * scale
@@ -211,23 +224,27 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
         entries = header["tensors"]
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed checkpoint header: {e}") from None
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: tensor directory is not a list: {entries!r}")
 
     params = iat_init(config, rng=np.random.default_rng(0))
     expected = dict(named_parameters(params))
     seen = set()
     payload = buf[header_end:-4]
     for entry in entries:
-        name = entry["name"]
+        name, shape, off, nbytes = _tensor_entry(path, entry)
         if name not in expected:
             raise FormatError(f"{path}: unknown tensor name {name!r} for config {config}")
         t = expected[name]
-        shape = tuple(entry["shape"])
         if shape != t.shape:
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {shape}, config expects {t.shape}"
             )
-        off, nbytes = entry["offset"], entry["nbytes"]
-        if nbytes != int(np.prod(shape, dtype=np.int64)) * 4 or off + nbytes > len(payload):
+        if (
+            nbytes != int(np.prod(shape, dtype=np.int64)) * 4
+            or off < 0
+            or off + nbytes > len(payload)
+        ):
             raise CorruptionError(f"{path}: tensor {name!r} payload out of bounds")
         data = np.frombuffer(payload, dtype="<f4", count=nbytes // 4, offset=off)
         t.data = np.ascontiguousarray(data.reshape(shape), dtype=np.float32)
@@ -236,3 +253,15 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
     if missing:
         raise FormatError(f"{path}: checkpoint is missing tensors: {sorted(missing)[:4]}")
     return params, step
+
+
+def _tensor_entry(path, entry) -> tuple[str, tuple, int, int]:
+    """(name, shape, offset, nbytes) of one tensor-directory entry."""
+    try:
+        name, shape = entry["name"], tuple(entry["shape"])
+        off, nbytes = entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError) as e:
+        raise FormatError(f"{path}: malformed tensor entry {entry!r}: {e}") from None
+    if type(name) is not str or not all(type(v) is int for v in (*shape, off, nbytes)):
+        raise FormatError(f"{path}: malformed tensor entry {entry!r}")
+    return name, shape, off, nbytes

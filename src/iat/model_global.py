@@ -31,7 +31,6 @@ from .tensor import (
 )
 
 NUM_QUERIES = 10  # 9 color-matrix slots + 1 gamma slot
-GAMMA_EPS = 1e-8
 
 
 @dataclass
@@ -69,8 +68,8 @@ def global_branch_init(d: int = 80, rng=None, dtype=np.float32):
     if rng is None:
         rng = np.random.default_rng(0)
     encoder = EncoderParams(
-        conv1=kaiming_conv(rng, d // 2, 3, 3, dtype, stride=2, padding=1),
-        conv2=kaiming_conv(rng, d, d // 2, 3, dtype, stride=2, padding=1),
+        conv1=kaiming_conv(rng, d // 2, 3, 3, dtype, stride=2),
+        conv2=kaiming_conv(rng, d, d // 2, 3, dtype, stride=2),
     )
 
     def zeros(shape):
@@ -78,7 +77,7 @@ def global_branch_init(d: int = 80, rng=None, dtype=np.float32):
 
     gpm = GpmParams(
         queries=zeros((NUM_QUERIES, d)),
-        pos_dw=kaiming_conv(rng, d, 1, 3, dtype, padding=1, groups=d),
+        pos_dw=kaiming_conv(rng, d, 1, 3, dtype),
         w_k=_linear_init(rng, d, d, dtype),
         w_v=_linear_init(rng, d, d, dtype),
         w_out=_linear_init(rng, d, d, dtype),
@@ -142,4 +141,4 @@ def gpm_forward(feats: Tensor, p: GpmParams) -> GlobalParams:
     delta_gamma = reshape(matmul(gamma_token, p.head_gamma_w) + p.head_gamma_b, ())
     base = Tensor(np.eye(3, dtype=delta_color.data.dtype))
     gamma = shifted_softplus(delta_gamma)
-    return GlobalParams(base + delta_color, gamma, GAMMA_EPS)
+    return GlobalParams(base + delta_color, gamma)

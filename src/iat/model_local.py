@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigurationError, ShapeError
 from .tensor import Tensor, conv2d, gelu, matmul, relu, reshape, tanh
 
 LAYER_SCALE_INIT = 1e-2
@@ -23,36 +23,37 @@ LAYER_SCALE_INIT = 1e-2
 
 @dataclass
 class Conv2d:
-    """Convolution weights plus its fixed geometry."""
+    """Convolution weights and stride; everything else follows from them.
 
-    weight: Tensor  # (out, in/groups, k, k)
+    The weight's shape says the kind: (Cout, Cin, k, k) is full and
+    (C, 1, k, k) depthwise (see `conv2d`). Padding is always k // 2, so a
+    stride-1 conv keeps the input size.
+    """
+
+    weight: Tensor  # (out, in, k, k) full or (C, 1, k, k) depthwise
     bias: Tensor  # (out,)
     stride: int = 1
-    padding: int = 0
-    groups: int = 1
+
+    @property
+    def padding(self) -> int:
+        return self.weight.shape[-1] // 2
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(
-            x,
-            self.weight,
-            self.bias,
-            stride=self.stride,
-            padding=self.padding,
-            groups=self.groups,
-        )
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
 
 
-def kaiming_conv(rng, out_ch, in_ch_per_group, k, dtype, stride=1, padding=0, groups=1):
-    """Fan-in scaled uniform init, zero bias."""
-    fan_in = in_ch_per_group * k * k
+def kaiming_conv(rng, out_ch, in_ch, k, dtype, stride=1):
+    """Fan-in scaled uniform init, zero bias.
+
+    in_ch = 1 makes a depthwise conv on out_ch channels (see `conv2d`).
+    """
+    fan_in = in_ch * k * k
     bound = math.sqrt(6.0 / fan_in)
-    w = rng.uniform(-bound, bound, size=(out_ch, in_ch_per_group, k, k))
+    w = rng.uniform(-bound, bound, size=(out_ch, in_ch, k, k))
     return Conv2d(
         weight=Tensor(w, requires_grad=True, dtype=dtype),
         bias=Tensor(np.zeros(out_ch), requires_grad=True, dtype=dtype),
         stride=stride,
-        padding=padding,
-        groups=groups,
     )
 
 
@@ -134,12 +135,11 @@ class PemParams:
 
 
 def pem_init(channels: int, rng, dtype=np.float32) -> PemParams:
-    dw_kw = dict(padding=1, groups=channels)
     return PemParams(
-        pos_dw=kaiming_conv(rng, channels, 1, 3, dtype, **dw_kw),
+        pos_dw=kaiming_conv(rng, channels, 1, 3, dtype),
         norm1=LightNormParams.identity(channels, dtype),
         pw1=kaiming_conv(rng, channels, channels, 1, dtype),
-        dw=kaiming_conv(rng, channels, 1, 3, dtype, **dw_kw),
+        dw=kaiming_conv(rng, channels, 1, 3, dtype),
         pw2=kaiming_conv(rng, channels, channels, 1, dtype),
         norm2=LightNormParams.identity(channels, dtype),
         mix1=kaiming_conv(rng, channels, channels, 1, dtype),
@@ -198,21 +198,21 @@ def local_branch_init(
 ) -> LocalBranchParams:
     """Random stem/blocks; heads pinned so the branch is the identity map."""
     if channels < 1 or blocks < 1:
-        raise ValueError(f"need channels >= 1 and blocks >= 1, got {channels}, {blocks}")
+        raise ConfigurationError(
+            f"need channels >= 1 and blocks >= 1, got channels={channels}, blocks={blocks}"
+        )
     if rng is None:
         rng = np.random.default_rng(0)
     gain_head = Conv2d(
         weight=Tensor(np.zeros((3, channels, 3, 3)), requires_grad=True, dtype=dtype),
         bias=Tensor(np.ones(3), requires_grad=True, dtype=dtype),
-        padding=1,
     )
     offset_head = Conv2d(
         weight=Tensor(np.zeros((3, channels, 3, 3)), requires_grad=True, dtype=dtype),
         bias=Tensor(np.zeros(3), requires_grad=True, dtype=dtype),
-        padding=1,
     )
     return LocalBranchParams(
-        stem=kaiming_conv(rng, channels, 3, 3, dtype, padding=1),
+        stem=kaiming_conv(rng, channels, 3, 3, dtype),
         gain_blocks=[pem_init(channels, rng, dtype) for _ in range(blocks)],
         offset_blocks=[pem_init(channels, rng, dtype) for _ in range(blocks)],
         gain_head=gain_head,

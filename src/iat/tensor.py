@@ -13,7 +13,7 @@ backward state: whatever it needs beyond the op's inputs and output (a relu
 mask, a sign, GELU's tanh) it computes when backward runs. The innermost
 active `Tape` (thread local) keeps the rule when any input requires grad;
 with no active tape nothing is kept, so inference runs tape-free. A tape
-supports one `backward()` pass and is consumed by it.
+supports one `Tape.backward` pass and is consumed by it.
 
 float32 is the working precision; building tensors from float64 arrays keeps
 float64 throughout, which the finite-difference tests rely on.
@@ -195,15 +195,6 @@ class Tape:
         self._consumed = True
 
 
-def backward(loss: Tensor, tape: Tape | None = None):
-    """Run the backward pass on `tape` (default: the innermost active tape)."""
-    if tape is None:
-        tape = _active_tape()
-        if tape is None:
-            raise ContractError("backward called with no active tape")
-    tape.backward(loss)
-
-
 def _emit(data, inputs, rule) -> Tensor:
     """Wrap op output; record its backward rule if grads are being tracked."""
     out = Tensor.__new__(Tensor)
@@ -309,19 +300,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 _STRIP_FLOATS = 1 << 17
 
 
-def conv2d(
-    x: Tensor,
-    w: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-    groups: int = 1,
-) -> Tensor:
-    """2-d convolution on NCHW input with [Cout, Cin/groups, kh, kw] weights.
+def conv_output_size(n: int, k: int, stride: int, padding: int) -> int:
+    """Output length along one axis of a conv over input length n."""
+    return (n + 2 * padding - k) // stride + 1
 
-    Two kinds, each with one code path at any batch size and stride: full
-    (groups=1) and depthwise (groups=Cin=Cout, weights [C, 1, kh, kw]). Any
-    other `groups` raises ConfigurationError. Padding is symmetric and zero.
+
+def conv2d(
+    x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
+) -> Tensor:
+    """2-d convolution on NCHW input; the weight's shape says the kind.
+
+    Two kinds, each with one code path at any batch size and stride: full,
+    weights (Cout, Cin, kh, kw), and depthwise, weights (C, 1, kh, kw) on
+    C = Cin = Cout channels. Any other weight shape raises ShapeError. With
+    Cin = 1 the weight is full; both kinds would compute the same thing.
+    Padding is symmetric and zero.
 
     x is zero-padded once into flat planes of row width wp = W + 2*padding.
     Output (yo, xo) sits at j = yo*wp + xo of an (Ho, wp) grid whose columns
@@ -336,25 +329,21 @@ def conv2d(
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
     n, cin, h, wdt = x.shape
     cout, cpg, kh, kw = w.shape
-    if groups != 1 and not groups == cin == cout:
-        raise ConfigurationError(
-            f"groups={groups} is neither 1 (full) nor Cin=Cout (depthwise) "
-            f"for Cin={cin}, Cout={cout}"
-        )
-    if cpg != cin // groups:
-        raise ConfigurationError(
-            f"weight expects {cpg} channels per group, input provides {cin // groups}"
+    depthwise = cpg != cin
+    if depthwise and not (cpg == 1 and cout == cin):
+        raise ShapeError(
+            f"weight {w.shape} is neither full (Cout, {cin}, kh, kw) nor depthwise "
+            f"({cin}, 1, kh, kw) for input {x.shape}"
         )
     if bias is not None and bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wdt + 2 * padding - kw) // stride + 1
+    ho = conv_output_size(h, kh, stride, padding)
+    wo = conv_output_size(wdt, kw, stride, padding)
     if ho < 1 or wo < 1:
         raise ShapeError(
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wdt}"
         )
 
-    depthwise = groups != 1
     wp = wdt + 2 * padding
     offsets = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
     # enough zero rows that the last tap's window over the whole grid fits

@@ -9,6 +9,8 @@ from iat.image_io import ImageRGB, load_image, save_image
 from iat.model import IATConfig, iat_init, load_checkpoint, save_checkpoint
 from iat.rng import philox
 
+from checkpoint_edit import rewrite_header
+
 SMALL = {"channels": 8, "blocks": 1, "d": 16}
 
 
@@ -333,6 +335,20 @@ def test_info_malformed_checkpoint(tmp_path):
     bad = tmp_path / "bad.iatc"
     bad.write_bytes(b"IATC" + b"\x00" * 40)
     assert main(["info", "--checkpoint", str(bad)]) == 2
+
+
+def test_info_malformed_tensor_directory(identity_ckpt, capsys):
+    # the CRC is valid, but a directory entry lacks its offset
+    rewrite_header(identity_ckpt, lambda header: header["tensors"][0].pop("offset"))
+    assert main(["info", "--checkpoint", str(identity_ckpt)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key,value", [("channels", 0), ("blocks", 0), ("d", 7)])
+def test_info_model_size_out_of_range(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, **{key: value})
+    assert main(["info", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unknown_flag_is_usage_error(identity_ckpt, tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from iat.errors import ConfigurationError, ShapeError
 from iat.image_io import ImageRGB, quantize
 from iat.isp import (
+    CLAMP_EPS,
     DegradationParams,
     GlobalParams,
     apply_color_matrix,
@@ -128,12 +129,12 @@ def test_compose_matches_scalar_oracle():
     gain = rng.uniform(0.5, 2.0, (1, 3, 8, 8))
     offset = rng.uniform(-0.3, 0.3, (1, 3, 8, 8))
     m = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-    gamma, eps = 0.8, 1e-8
+    gamma = 0.8
     out, f = compose_iat(
-        Tensor(x), Tensor(gain), Tensor(offset), GlobalParams.from_values(m, gamma, eps)
+        Tensor(x), Tensor(gain), Tensor(offset), GlobalParams.from_values(m, gamma)
     )
     np.testing.assert_array_equal(f.data, x * gain + offset)
-    ref = scalar_global_reference(x * gain + offset, m, gamma, eps)
+    ref = scalar_global_reference(x * gain + offset, m, gamma, CLAMP_EPS)
     np.testing.assert_allclose(out.data, ref, atol=1e-6)
 
 

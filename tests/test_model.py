@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from iat.errors import CorruptionError, FormatError, InputError
+from iat.isp import CLAMP_EPS
 from iat.model import (
     IATConfig,
     count_params,
@@ -18,6 +19,7 @@ from iat.rng import philox
 from iat.tensor import Tape, Tensor
 from iat.training import smooth_l1
 
+from checkpoint_edit import rewrite_header
 from fdcheck import assert_grads_close, numeric_grad
 
 
@@ -72,7 +74,7 @@ def test_forward_matches_scalar_reference():
     for i in range(8):
         for j in range(8):
             v = m @ f[0, :, i, j].astype(np.float64)
-            ref[0, :, i, j] = np.maximum(v, gp.eps) ** gamma
+            ref[0, :, i, j] = np.maximum(v, CLAMP_EPS) ** gamma
     np.testing.assert_allclose(out.data, ref, atol=1e-5)
 
 
@@ -136,6 +138,44 @@ def test_flops_rejects_tiny_resolution():
         estimate_flops(IATConfig(), 3, 600)
 
 
+@pytest.mark.parametrize(
+    "cfg", [IATConfig(), IATConfig(channels=8, blocks=2, d=16)], ids=["default", "8-2-16"]
+)
+def test_flops_estimate_matches_counted_macs(monkeypatch, cfg):
+    # count the MACs of every conv and matmul one forward runs
+    import iat.isp
+    import iat.model_global
+    import iat.model_local
+    from iat import tensor
+
+    macs = []
+
+    def counting_conv2d(x, w, bias=None, stride=1, padding=0):
+        out = tensor.conv2d(x, w, bias, stride, padding)
+        n, _, ho, wo = out.shape
+        macs.append(n * ho * wo * w.size)
+        return out
+
+    def counting_matmul(a, b):
+        out = tensor.matmul(a, b)
+        macs.append(out.size * a.shape[-1])
+        return out
+
+    monkeypatch.setattr(iat.model_local, "conv2d", counting_conv2d)
+    for module in (iat.model_local, iat.model_global, iat.isp):
+        monkeypatch.setattr(module, "matmul", counting_matmul)
+    p = iat_init(cfg, rng=philox(19))
+    c, blocks = cfg.channels, cfg.blocks
+    for h, w in [(37, 53), (21, 30)]:
+        macs.clear()
+        iat_forward(rand_image(np.random.default_rng(20), h, w), p)
+        detail = estimate_flops_detail(cfg, h, w)
+        estimated = round(detail["local"] * 1e9) + round(detail["global"] * 1e9)
+        # left out of the estimate: the 9-MAC color-matrix product per pixel and
+        # the two C^3 + C^2 norm folds per block (52,224 MACs at the default)
+        assert sum(macs) - estimated - 9 * h * w == 4 * blocks * (c**3 + c**2)
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -183,22 +223,36 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_unknown_tensor_name(tmp_path):
-    import json
-    import struct
-    import zlib
-
     p = iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(30))
     path = tmp_path / "model.iatc"
     save_checkpoint(p, path)
-    buf = path.read_bytes()
-    (hlen,) = struct.unpack("<I", buf[8:12])
-    header = json.loads(buf[12 : 12 + hlen])
-    header["tensors"][0]["name"] = "local.nonexistent.weight"
-    new_header = json.dumps(header).encode()
-    body = buf[:8] + struct.pack("<I", len(new_header)) + new_header + buf[12 + hlen : -4]
-    body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-    path.write_bytes(body)
+    rewrite_header(path, lambda h: h["tensors"][0].update(name="local.nonexistent.weight"))
     with pytest.raises(FormatError, match="unknown tensor"):
+        load_checkpoint(path)
+
+
+# header edits that leave the CRC valid but the tensor directory malformed
+MALFORMED_DIRECTORIES = {
+    "no-offset": lambda h: h["tensors"][0].pop("offset"),
+    "negative-offset": lambda h: h["tensors"][0].update(offset=-8),
+    "string-offset": lambda h: h["tensors"][0].update(offset="0"),
+    "float-nbytes": lambda h: h["tensors"][0].update(nbytes=h["tensors"][0]["nbytes"] + 0.0),
+    "int-shape": lambda h: h["tensors"][0].update(shape=3),
+    "list-name": lambda h: h["tensors"][0].update(name=["local"]),
+    "string-directory": lambda h: h.update(tensors="abc"),
+    "dict-directory": lambda h: h.update(tensors={"a": 1}),
+    "int-entry": lambda h: h.update(tensors=[7]),
+}
+
+
+@pytest.mark.parametrize(
+    "edit", MALFORMED_DIRECTORIES.values(), ids=MALFORMED_DIRECTORIES.keys()
+)
+def test_checkpoint_malformed_tensor_directory(tmp_path, edit):
+    path = tmp_path / "model.iatc"
+    save_checkpoint(iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(31)), path)
+    rewrite_header(path, edit)
+    with pytest.raises((FormatError, CorruptionError)):
         load_checkpoint(path)
 
 

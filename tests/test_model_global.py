@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iat.errors import ConfigurationError, InputError
-from iat.isp import apply_global
+from iat.isp import CLAMP_EPS, apply_global
 from iat.model import named_parameters
 from iat.model_global import (
     cross_attention,
@@ -116,7 +116,7 @@ def test_identity_at_init_bit_exact():
         gp = gpm_forward(encoder_forward(img, enc), gpm)
         np.testing.assert_array_equal(gp.color_matrix.data, np.eye(3, dtype=np.float32))
         assert gp.gamma.item() == 1.0  # bit-exact
-        assert gp.eps == 1e-8
+    assert CLAMP_EPS == 1e-8  # the floor apply_global clamps to
 
 
 def test_shifted_softplus_contract():

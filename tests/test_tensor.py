@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from iat import tensor
 from iat.errors import ConfigurationError, ContractError, ShapeError
+from iat.model import conv_layers, iat_init
 from iat.tensor import (
     Tape,
     Tensor,
@@ -32,10 +33,11 @@ def p64(shape, rng=RNG, scale=1.0):
     return parameter(scale * rng.standard_normal(shape), dtype=np.float64)
 
 
-def conv2d_loop(x, w, bias, stride, padding, groups):
+def conv2d_loop(x, w, bias, stride, padding):
     """Sextuple-loop reference convolution (the independent oracle)."""
     n_b, cin, h, wdt = x.shape
     cout, cpg, kh, kw = w.shape
+    groups = cin // cpg
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wdt + 2 * padding - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -58,7 +60,7 @@ def conv2d_loop(x, w, bias, stride, padding, groups):
     return out
 
 
-def conv2d_taps_reference(x, w, bias, stride, padding, groups):
+def conv2d_taps_reference(x, w, bias, stride, padding):
     """Per-tap NCHW forward convolution, the kernel before flat windows.
 
     Each tap is a 2-d strided slice of the padded input: depthwise multiplies
@@ -76,7 +78,7 @@ def conv2d_taps_reference(x, w, bias, stride, padding, groups):
         for dy in range(kh)
         for dx in range(kw)
     ]
-    if groups != 1:
+    if cpg != cin:  # depthwise
         wc = w[:, 0, :, :, None, None]
         (dy, dx, sl), *rest = taps
         data = wc[:, dy, dx] * xp[sl]
@@ -188,7 +190,7 @@ def test_depthwise_center_one_is_identity():
     x = Tensor(RNG.random((1, c, 5, 7)).astype(np.float32))
     w = np.zeros((c, 1, 3, 3), dtype=np.float32)
     w[:, 0, 1, 1] = 1.0
-    out = conv2d(x, Tensor(w), padding=1, groups=c)
+    out = conv2d(x, Tensor(w), padding=1)
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -201,6 +203,7 @@ def test_depthwise_center_one_is_identity():
         (2, 4, 4, 5, 6, 3, 1, 1, 4),  # depthwise 3x3, batch 2
         (2, 2, 3, 5, 6, 1, 1, 0, 1),  # 1x1
         (1, 3, 4, 7, 7, 3, 2, 0, 1),
+        (1, 1, 3, 5, 6, 3, 1, 1, 1),  # one input channel: full, not depthwise
     ],
 )
 def test_conv_matches_loop_oracle(n, cin, cout, h, w, k, stride, padding, groups):
@@ -208,23 +211,15 @@ def test_conv_matches_loop_oracle(n, cin, cout, h, w, k, stride, padding, groups
     x = rng.standard_normal((n, cin, h, w))
     wt = rng.standard_normal((cout, cin // groups, k, k))
     b = rng.standard_normal(cout)
-    out = conv2d(
-        Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding, groups=groups
-    )
-    ref = conv2d_loop(x, wt, b, stride, padding, groups)
+    out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding)
+    ref = conv2d_loop(x, wt, b, stride, padding)
     np.testing.assert_allclose(out.data, ref, atol=1e-6)
 
 
-# (cin, cout, k, stride, padding, groups) of every conv the default model runs
-MODEL_CONVS = [
-    (3, 16, 3, 1, 1, 1),  # local stem
-    (16, 16, 3, 1, 1, 16),  # PEM depthwise
-    (16, 16, 1, 1, 0, 1),  # PEM 1x1 and light norm
-    (16, 3, 3, 1, 1, 1),  # gain/offset heads
-    (3, 40, 3, 2, 1, 1),  # encoder conv1
-    (40, 80, 3, 2, 1, 1),  # encoder conv2
-    (80, 80, 3, 1, 1, 80),  # query positional depthwise
-]
+# (weight shape, stride) of every distinct conv the default model runs
+MODEL_CONVS = list(dict.fromkeys((c.weight.shape, c.stride) for c in conv_layers(iat_init())))
+# three of them, for the batch-2 and multi-strip cases
+DW16, FULL1X1_16, ENC_CONV2 = ((16, 1, 3, 3), 1), ((16, 16, 1, 1), 1), ((80, 40, 3, 3), 2)
 
 
 @pytest.mark.parametrize(
@@ -232,46 +227,45 @@ MODEL_CONVS = [
     [(1, 64, 64, c, False) for c in MODEL_CONVS]
     + [(1, 37, 53, c, False) for c in MODEL_CONVS]
     + [
-        (2, 37, 53, (16, 16, 3, 1, 1, 16), False),
-        (2, 37, 53, (40, 80, 3, 2, 1, 1), False),
+        (2, 37, 53, DW16, False),
+        (2, 37, 53, ENC_CONV2, False),
         # two or more strips, the last one ragged
-        (1, 70, 130, (16, 16, 3, 1, 1, 16), True),
-        (1, 70, 50, (40, 80, 3, 2, 1, 1), True),
-        (1, 70, 130, (16, 16, 1, 1, 0, 1), True),
-        (2, 33, 130, (16, 16, 3, 1, 1, 16), True),
+        (1, 70, 130, DW16, True),
+        (1, 70, 50, ENC_CONV2, True),
+        (1, 70, 130, FULL1X1_16, True),
+        (2, 33, 130, DW16, True),
     ],
 )
 def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
-    cin, cout, k, stride, padding, groups = conv
+    wshape, stride = conv
+    cout, cpg, k, _ = wshape
+    depthwise = cpg == 1  # no conv in the model is full with one input channel
+    cin = cout if depthwise else cpg
+    padding = k // 2  # as model_local.Conv2d pads
     rng = np.random.default_rng(h * w + cin)
     x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
-    wt = rng.standard_normal((cout, cin // groups, k, k)).astype(np.float32)
+    wt = rng.standard_normal(wshape).astype(np.float32)
     b = rng.standard_normal(cout).astype(np.float32)
-    out = conv2d(
-        Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding, groups=groups
-    ).data
-    ref = conv2d_taps_reference(x, wt, b, stride, padding, groups)
+    out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding).data
+    ref = conv2d_taps_reference(x, wt, b, stride, padding)
     if multi_strip:
         rows_per_strip = tensor._STRIP_FLOATS // (n * cout * (w + 2 * padding))
         ho = ref.shape[2]
         assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
-    if groups != 1:
+    if depthwise:
         np.testing.assert_array_equal(out, ref)
     else:
         # BLAS may block the per-tap gemms differently from tensordot's
         np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-6)
 
 
-def test_conv_group_mismatch():
-    x = Tensor(np.zeros((1, 3, 4, 4)))
-    w = Tensor(np.zeros((4, 3, 3, 3)))
-    with pytest.raises(ConfigurationError):
-        conv2d(x, w, groups=2)
-    # a grouped conv that is neither full nor depthwise is not supported
+def test_conv_weight_shape_mismatch():
+    # neither full (Cout, 4, k, k) nor depthwise (4, 1, k, k) on 4 input channels
     x = Tensor(np.zeros((1, 4, 6, 7)))
-    w = Tensor(np.zeros((6, 2, 3, 3)))
-    with pytest.raises(ConfigurationError, match="groups=2"):
-        conv2d(x, w, padding=1, groups=2)
+    for shape in [(6, 2, 3, 3), (5, 1, 3, 3)]:
+        with pytest.raises(ShapeError) as exc:
+            conv2d(x, Tensor(np.zeros(shape)), padding=1)
+        assert str(shape) in str(exc.value) and "(1, 4, 6, 7)" in str(exc.value)
 
 
 CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width
@@ -301,7 +295,7 @@ def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width
     b = p64((cout,), rng)
 
     def fwd():
-        y = conv2d(x, w, b, stride=stride, padding=padding, groups=groups)
+        y = conv2d(x, w, b, stride=stride, padding=padding)
         return (y * y).sum()
 
     with Tape() as tape:
