@@ -7,6 +7,7 @@ before it. Loads are bit-exact and never reshape silently.
 """
 
 import dataclasses
+import functools
 import json
 import struct
 import zlib
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, InputError
+from .errors import ConfigurationError, CorruptionError, FormatError, InputError
 from .fileio import atomic_open
 from .isp import compose_iat
 from .model_global import (
@@ -43,7 +44,12 @@ class IATConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{f.name: f.type(d[f.name]) for f in dataclasses.fields(cls)})
+        """Sizes from a mapping; each must be an int (a bool or 8.0 is not)."""
+        sizes = {f.name: d[f.name] for f in dataclasses.fields(cls)}
+        for key, v in sizes.items():
+            if type(v) is not int:
+                raise TypeError(f"model size {key!r} must be an integer, got {v!r}")
+        return cls(**sizes)
 
 
 @dataclass
@@ -121,6 +127,12 @@ def count_params(p: IATParams) -> dict:
     return report
 
 
+@functools.lru_cache(maxsize=8)
+def _size_tree(config: IATConfig) -> IATParams:
+    """One parameter tree per config, built once; only its sizes are read."""
+    return iat_init(config)
+
+
 def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     """Multiply-accumulate counts read off the parameter tree, reported as
     GFLOPs (1 MAC = 1 FLOP).
@@ -138,7 +150,7 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     """
     if height < 4 or width < 4:
         raise InputError(f"resolution {height}x{width} below the 4x4 minimum")
-    p = iat_init(config)
+    p = _size_tree(config)
     local_macs = height * width * sum(c.weight.size for c in conv_layers(p.local))
     enc_macs = 0
     h, w = height, width
@@ -227,7 +239,10 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
     if not isinstance(entries, list):
         raise FormatError(f"{path}: tensor directory is not a list: {entries!r}")
 
-    params = iat_init(config, rng=np.random.default_rng(0))
+    try:
+        params = iat_init(config, rng=np.random.default_rng(0))
+    except ConfigurationError as e:
+        raise FormatError(f"{path}: model sizes out of range: {e}") from None
     expected = dict(named_parameters(params))
     seen = set()
     payload = buf[header_end:-4]

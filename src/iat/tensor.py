@@ -3,9 +3,14 @@
 The operation set is exactly what the enhancement model and its losses need:
 broadcast elementwise arithmetic, direct 2-d convolution (full and depthwise),
 matmul, a clamped power op, a small activation zoo, softmax, reductions, and
-shape bookkeeping (reshape/transpose/slice). Convolution taps read 1-d
-windows of a flat zero-padded input, and the forward runs in cache-sized
-strips of output rows (see `conv2d`).
+shape bookkeeping (reshape/transpose/slice).
+
+The plane-sized passes run in strips of about `_STRIP_FLOATS` floats per
+array, so each pass rereads data in L2 instead of streaming whole planes:
+GELU forward and backward over the flat array (see `activation`), and the
+conv forward in strips of output rows whose height counts both input and
+output channels (see `conv2d`). Each conv strip zero-pads only its own input
+rows; convolution taps read 1-d windows of that flat padded strip.
 
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
@@ -295,14 +300,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution (direct shift-and-add over flat windows; no im2col, no FFT)
 
-# A forward strip covers as many output rows as keep its accumulator near
-# this many floats, so a strip's taps reread a working set that fits in L2.
+# A strip of a full-plane pass covers as many elements (GELU) or output rows
+# (conv2d) as keep its working set near this many floats per array, so the
+# pass rereads data that sits in L2 instead of streaming whole planes.
 _STRIP_FLOATS = 1 << 17
 
 
 def conv_output_size(n: int, k: int, stride: int, padding: int) -> int:
     """Output length along one axis of a conv over input length n."""
     return (n + 2 * padding - k) // stride + 1
+
+
+def _strip_rows(n: int, cin: int, cout: int, wp: int) -> int:
+    """Output rows per conv2d forward strip at padded row width wp.
+
+    Both the accumulator (Cout channels) and each tap's input window (Cin
+    channels) span the strip's rows, so the larger of the two sets the height.
+    """
+    return max(1, _STRIP_FLOATS // (n * max(cin, cout) * wp))
+
+
+def _pad_rows(x: np.ndarray, buf: np.ndarray, r0: int, padding: int) -> None:
+    """Fill buf (N, C, rows, W + 2*padding) with rows [r0, r0 + rows) of x's
+    zero-padded plane; buf's border columns must already be zero."""
+    h, wdt = x.shape[2:]
+    r1 = r0 + buf.shape[2]
+    a = min(max(r0, padding), r1)  # padded rows [a, b) hold rows of x
+    b = max(a, min(r1, padding + h))
+    buf[:, :, : a - r0] = 0
+    buf[:, :, a - r0 : b - r0, padding : padding + wdt] = x[:, :, a - padding : b - padding]
+    buf[:, :, b - r0 :] = 0
 
 
 def conv2d(
@@ -316,14 +343,21 @@ def conv2d(
     Cin = 1 the weight is full; both kinds would compute the same thing.
     Padding is symmetric and zero.
 
-    x is zero-padded once into flat planes of row width wp = W + 2*padding.
-    Output (yo, xo) sits at j = yo*wp + xo of an (Ho, wp) grid whose columns
-    xo >= Wo are junk, and tap (dy, dx) reads the 1-d window of the flat
-    plane at stride*j + dy*wp + dx: contiguous at stride 1, one uniform
-    stride otherwise. Full taps are one matmul of the (Cout, Cin) tap weights
-    on the window, depthwise taps one broadcast multiply. The forward runs in
-    strips of output rows and writes each strip's valid columns, plus bias,
-    straight into the output.
+    Taps read flat planes of row width wp = W + 2*padding. Output (yo, xo)
+    sits at j = yo*wp + xo of an (Ho, wp) grid whose columns xo >= Wo are
+    junk, and tap (dy, dx) reads the 1-d window of the flat padded plane at
+    stride*j + dy*wp + dx: contiguous at stride 1, one uniform stride
+    otherwise. Full taps are one matmul of the (Cout, Cin) tap weights on the
+    window, depthwise taps one broadcast multiply.
+
+    The forward runs in strips of output rows, `_strip_rows` high, so a
+    strip's accumulator and every tap's input window stay in L2. Each strip
+    pads its own input rows into one reused zero-bordered buffer; no padded
+    copy of the whole input is made unless one strip covers the output, and
+    then the backward rule reuses that buffer as its plane (otherwise it pads
+    the plane when it runs). A strip writes its valid columns, plus bias,
+    into the output; when the grid has no junk columns (Wo = wp, as in an
+    unpadded 1x1 conv) the taps accumulate in the output itself.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
@@ -346,14 +380,23 @@ def conv2d(
 
     wp = wdt + 2 * padding
     offsets = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
-    # enough zero rows that the last tap's window over the whole grid fits
-    rows = max(h + 2 * padding, -(-(stride * (ho * wp - 1) + offsets[-1] + 1) // wp))
-    if (rows, padding) == (h, 0):
-        xf = x.data.reshape(n, cin, h * wdt)
-    else:
-        xpad = np.zeros((n, cin, rows, wp), dtype=x.data.dtype)
-        xpad[:, :, padding : padding + h, padding : padding + wdt] = x.data
-        xf = xpad.reshape(n, cin, rows * wp)
+
+    def rows_read(nrows):
+        """Padded input rows the taps read for nrows output rows."""
+        return -(-(stride * (nrows * wp - 1) + offsets[-1] + 1) // wp)
+
+    # the whole padded plane, with enough zero rows for the last tap's window
+    rows = max(h + 2 * padding, rows_read(ho))
+    band = _strip_rows(n, cin, cout, wp)
+    if (rows, padding) == (h, 0):  # the taps read x itself
+        plane = x.data.reshape(n, cin, h * wdt)
+    elif band >= ho:  # one strip: pad the whole plane, which the rule reuses
+        buf = np.zeros((n, cin, rows, wp), dtype=x.data.dtype)
+        _pad_rows(x.data, buf, 0, padding)
+        plane = buf.reshape(n, cin, rows * wp)
+    else:  # a strip's rows, padded into one reused buffer per strip
+        buf = np.zeros((n, cin, rows_read(band), wp), dtype=x.data.dtype)
+        plane = None
 
     def window(flat, j0, m, off):
         """The (N, C, m) window tap `off` reads for grid cells [j0, j0 + m)."""
@@ -365,27 +408,38 @@ def conv2d(
     dtype = np.result_type(x.data, w.data)
 
     data = np.empty((n, cout, ho, wo), dtype=dtype)
-    band = max(1, _STRIP_FLOATS // (n * cout * wp))  # output rows per strip
+    direct = wo == wp  # no junk columns: accumulate in the output
     acc = np.empty(n * cout * min(band, ho) * wp, dtype=dtype)
     tmp = np.empty_like(acc)
     for y0 in range(0, ho, band):
         y1 = min(y0 + band, ho)
         m = (y1 - y0) * wp
-        a = acc[: n * cout * m].reshape(n, cout, m)
+        if plane is not None:
+            src, j0 = plane, y0 * wp
+        else:
+            strip = buf[:, :, : rows_read(y1) - stride * y0]
+            _pad_rows(x.data, strip, stride * y0, padding)
+            src, j0 = strip.reshape(n, cin, -1), 0
+        out = data[:, :, y0:y1]
+        a = out.reshape(n, cout, m) if direct else acc[: n * cout * m].reshape(n, cout, m)
         t = tmp[: n * cout * m].reshape(n, cout, m)
         for i, off in enumerate(offsets):
-            win = window(xf, y0 * wp, m, off)
+            win = window(src, j0, m, off)
             if depthwise:
                 np.multiply(wt[i], win, out=t if i else a)
             else:
                 np.matmul(wt[i], win, out=t if i else a)
             if i:
                 a += t
+        if direct:
+            if bias is not None:
+                out += bias.data[:, None, None]
+            continue
         valid = a.reshape(n, cout, y1 - y0, wp)[:, :, :, :wo]
         if bias is not None:
-            np.add(valid, bias.data[:, None, None], out=data[:, :, y0:y1])
+            np.add(valid, bias.data[:, None, None], out=out)
         else:
-            data[:, :, y0:y1] = valid
+            out[...] = valid
 
     def rule(g):
         if bias is not None and bias.requires_grad:
@@ -404,6 +458,11 @@ def conv2d(
             gf[:, :, :, :wo] = g
             gf = gf.reshape(n, cout, m)
         if need_w:
+            xf = plane
+            if xf is None:
+                xpad = np.zeros((n, cin, rows, wp), dtype=x.data.dtype)
+                _pad_rows(x.data, xpad, 0, padding)
+                xf = xpad.reshape(n, cin, rows * wp)
             gw = np.empty((cout, cpg, kh * kw), dtype=w.data.dtype)
             for i, off in enumerate(offsets):
                 win = window(xf, 0, m, off)
@@ -416,7 +475,7 @@ def conv2d(
         if need_x and whole:
             _accumulate(x, np.matmul(wt[0].T, gf).reshape(x.data.shape))
         elif need_x:
-            gxf = np.zeros(xf.shape, dtype=x.data.dtype)
+            gxf = np.zeros((n, cin, rows * wp), dtype=x.data.dtype)
             for i, off in enumerate(offsets):
                 win = window(gxf, 0, m, off)
                 if depthwise:
@@ -459,19 +518,31 @@ def pow_clamped(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
     return _emit(data, (x, gamma), rule)
 
 
-def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
-    """tanh(c*(x + a*x*x*x)) in one fresh buffer, with that expression's
-    left-to-right arithmetic, so forward and backward get the same bits."""
-    t = _GELU_A * xd
-    t *= xd
-    t *= xd
-    t += xd
-    t *= _GELU_C
-    return np.tanh(t, out=t)
+def _gelu_strips(xd: np.ndarray, *flat: np.ndarray):
+    """Yield (x, t, *strips of `flat`) for each `_STRIP_FLOATS`-element strip
+    of x's flat view, where t = tanh(c*(x + a*x*x*x)) fills one reused
+    buffer with that expression's left-to-right arithmetic, so forward and
+    backward get the same bits."""
+    xf = xd.reshape(-1)
+    tb = np.empty(min(xf.size, _STRIP_FLOATS), dtype=xd.dtype)
+    for s0 in range(0, xf.size, _STRIP_FLOATS):
+        xs = xf[s0 : s0 + _STRIP_FLOATS]
+        t = np.multiply(xs, _GELU_A, out=tb[: xs.size])
+        t *= xs
+        t *= xs
+        t += xs
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        yield (xs, t, *(a[s0 : s0 + xs.size] for a in flat))
 
 
 def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise relu / tanh / gelu with exact derivatives."""
+    """Elementwise relu / tanh / gelu with exact derivatives.
+
+    GELU's forward and backward rule run in `_STRIP_FLOATS`-element strips
+    of the flat array (see `_gelu_strips`), so each of their passes stays in
+    L2 and only the output is plane-sized.
+    """
     xd = x.data
     if kind == "relu":
         data = np.maximum(xd, 0)
@@ -486,27 +557,33 @@ def activation(x: Tensor, kind: str) -> Tensor:
             _accumulate(x, g * (1.0 - data * data))
 
     elif kind == "gelu":
-        # tanh form (the common transformer variant): 0.5*x*(1+t) with
-        # t = _gelu_tanh(x); backward recomputes t so the tape holds no copy
-        data = _gelu_tanh(xd)
-        data += 1.0
-        data *= 0.5 * xd
+        # tanh form (the common transformer variant): 0.5*x*(1+t); backward
+        # recomputes t so the tape holds no copy
+        data = np.empty(xd.shape, dtype=xd.dtype)
+        for xs, t, out in _gelu_strips(xd, data.reshape(-1)):
+            t += 1.0
+            np.multiply(xs, 0.5, out=out)
+            out *= t
 
         def rule(g):
-            # 0.5*(1+t) + 0.5*x*(1-t*t)*c*(1+3a*x*x), times g, in place
-            t = _gelu_tanh(xd)
-            d = xd * xd
-            d *= 3.0 * _GELU_A
-            d += 1.0
-            d *= _GELU_C
-            d *= xd
-            d *= 0.5
-            d *= 1.0 - t * t
-            t += 1.0
-            t *= 0.5
-            d += t
-            d *= g
-            _accumulate(x, d)
+            # 0.5*(1+t) + 0.5*x*(1-t*t)*c*(1+3a*x*x), times g
+            gx = np.empty(xd.shape, dtype=xd.dtype)
+            db = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
+            for xs, t, gs, out in _gelu_strips(xd, g.reshape(-1), gx.reshape(-1)):
+                d = np.multiply(xs, xs, out=db[: xs.size])
+                d *= 3.0 * _GELU_A
+                d += 1.0
+                d *= _GELU_C
+                d *= xs
+                d *= 0.5
+                np.multiply(t, t, out=out)  # out is scratch until the last line
+                np.subtract(1.0, out, out=out)
+                d *= out
+                t += 1.0
+                t *= 0.5
+                d += t
+                np.multiply(d, gs, out=out)
+            _accumulate(x, gx)
 
     else:
         raise ConfigurationError(f"unknown activation kind {kind!r}")

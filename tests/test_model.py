@@ -176,6 +176,20 @@ def test_flops_estimate_matches_counted_macs(monkeypatch, cfg):
         assert sum(macs) - estimated - 9 * h * w == 4 * blocks * (c**3 + c**2)
 
 
+def test_flops_estimate_builds_one_tree_per_config(monkeypatch):
+    import iat.model
+
+    cfg = IATConfig(channels=8, blocks=2, d=16)
+    first = estimate_flops_detail(cfg, 37, 53)
+
+    def no_init(*args, **kwargs):
+        raise AssertionError("iat_init called again for a config already seen")
+
+    monkeypatch.setattr(iat.model, "iat_init", no_init)
+    assert estimate_flops_detail(cfg, 37, 53) == first
+    assert estimate_flops_detail(cfg, 400, 600)["total"] > first["total"]
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -253,6 +267,26 @@ def test_checkpoint_malformed_tensor_directory(tmp_path, edit):
     save_checkpoint(iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(31)), path)
     rewrite_header(path, edit)
     with pytest.raises((FormatError, CorruptionError)):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("channels", 8.9), ("blocks", True), ("d", "16"), ("channels", 8.0)]
+)
+def test_checkpoint_model_size_must_be_int(tmp_path, key, value):
+    path = tmp_path / "model.iatc"
+    save_checkpoint(iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(32)), path)
+    rewrite_header(path, lambda h: h["config"].update({key: value}))
+    with pytest.raises(FormatError, match=f"'{key}'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key,value", [("channels", 0), ("blocks", -1), ("d", 7)])
+def test_checkpoint_model_size_out_of_range(tmp_path, key, value):
+    path = tmp_path / "model.iatc"
+    save_checkpoint(iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(33)), path)
+    rewrite_header(path, lambda h: h["config"].update({key: value}))
+    with pytest.raises(FormatError, match="model.iatc"):
         load_checkpoint(path)
 
 

@@ -218,8 +218,9 @@ def test_conv_matches_loop_oracle(n, cin, cout, h, w, k, stride, padding, groups
 
 # (weight shape, stride) of every distinct conv the default model runs
 MODEL_CONVS = list(dict.fromkeys((c.weight.shape, c.stride) for c in conv_layers(iat_init())))
-# three of them, for the batch-2 and multi-strip cases
+# four of them, for the batch-2 and multi-strip cases
 DW16, FULL1X1_16, ENC_CONV2 = ((16, 1, 3, 3), 1), ((16, 16, 1, 1), 1), ((80, 40, 3, 3), 2)
+HEAD = ((3, 16, 3, 3), 1)  # more input than output channels
 
 
 @pytest.mark.parametrize(
@@ -234,6 +235,8 @@ DW16, FULL1X1_16, ENC_CONV2 = ((16, 1, 3, 3), 1), ((16, 16, 1, 1), 1), ((80, 40,
         (1, 70, 50, ENC_CONV2, True),
         (1, 70, 130, FULL1X1_16, True),
         (2, 33, 130, DW16, True),
+        (1, 70, 130, HEAD, True),
+        (2, 70, 130, FULL1X1_16, True),  # no junk columns: taps accumulate in the output
     ],
 )
 def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
@@ -249,7 +252,7 @@ def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
     out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding).data
     ref = conv2d_taps_reference(x, wt, b, stride, padding)
     if multi_strip:
-        rows_per_strip = tensor._STRIP_FLOATS // (n * cout * (w + 2 * padding))
+        rows_per_strip = tensor._strip_rows(n, cin, cout, w + 2 * padding)
         ho = ref.shape[2]
         assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
     if depthwise:
@@ -257,6 +260,47 @@ def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
     else:
         # BLAS may block the per-tap gemms differently from tensordot's
         np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "n,h,w,conv",
+    [
+        (1, 70, 130, DW16),
+        (1, 70, 130, HEAD),
+        (1, 70, 50, ENC_CONV2),
+        (1, 70, 130, FULL1X1_16),
+    ],
+    ids=["depthwise", "full3x3", "full3x3-stride2", "1x1"],
+)
+def test_conv_gradients_across_strips_match_one_strip(monkeypatch, n, h, w, conv):
+    wshape, stride = conv
+    cout, cpg, k, _ = wshape
+    cin = cout if cpg == 1 else cpg
+    padding = k // 2
+    rng = np.random.default_rng(h + w + cin)
+    x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
+    wt = rng.standard_normal(wshape).astype(np.float32)
+    b = rng.standard_normal(cout).astype(np.float32)
+    ho = tensor.conv_output_size(h, k, stride, padding)
+    assert tensor._strip_rows(n, cin, cout, w + 2 * padding) < ho, "want >= 2 strips"
+
+    def grads():
+        xt, wt_, bt = parameter(x), parameter(wt), parameter(b)
+        with Tape() as tape:
+            y = conv2d(xt, wt_, bt, stride=stride, padding=padding)
+            # a fixed upstream gradient, so the rules see the same g on both runs
+            gy = np.random.default_rng(3).standard_normal(y.shape).astype(np.float32)
+            tape.backward((y * Tensor(gy)).sum())
+        return y.data, xt.grad, wt_.grad, bt.grad
+
+    y_strips, *g_strips = grads()
+    monkeypatch.setattr(tensor, "_STRIP_FLOATS", 1 << 30)  # one strip
+    y_whole, *g_whole = grads()
+    # the rule runs the same arithmetic on the same padded plane: exact
+    for label, a, ref in zip(("gx", "gw", "gb"), g_strips, g_whole):
+        np.testing.assert_array_equal(a, ref, err_msg=label)
+    # BLAS may block a strip's gemm differently from the whole grid's
+    np.testing.assert_allclose(y_strips, y_whole, rtol=1e-6, atol=1e-6)
 
 
 def test_conv_weight_shape_mismatch():
@@ -414,6 +458,60 @@ def test_activation_gradients_match_fd(kind):
         tape.backward(fwd())
     (nx,) = numeric_grad(lambda: fwd().item(), [x.data])
     assert_grads_close(x.grad, nx, label=kind)
+
+
+def gelu_whole_array(xd, g):
+    """GELU's output and input gradient in whole-array passes, the arithmetic
+    activation("gelu") runs strip by strip."""
+    a, c = tensor._GELU_A, tensor._GELU_C
+
+    def tanh_part():
+        t = a * xd
+        t *= xd
+        t *= xd
+        t += xd
+        t *= c
+        return np.tanh(t, out=t)
+
+    y = tanh_part()
+    y += 1.0
+    y *= 0.5 * xd
+    t = tanh_part()
+    d = xd * xd
+    d *= 3.0 * a
+    d += 1.0
+    d *= c
+    d *= xd
+    d *= 0.5
+    d *= 1.0 - t * t
+    t += 1.0
+    t *= 0.5
+    d += t
+    d *= g
+    return y, d
+
+
+S = tensor._STRIP_FLOATS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 3, 5, 7), (2, 4, S // 16, 4), (1, 4, S // 8, 3)],  # 210 floats, 2 and 1.5 strips
+    ids=["one-strip", "two-strips", "ragged-last-strip"],
+)
+def test_gelu_strips_match_whole_array(shape, dtype):
+    rng = np.random.default_rng(len(shape) + shape[2])
+    xd = (3.0 * rng.standard_normal(shape)).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    y_ref, gx_ref = gelu_whole_array(xd, g)
+    x = parameter(xd, dtype=dtype)
+    with Tape() as tape:
+        y = activation(x, "gelu")
+        tape.backward((y * Tensor(g)).sum())
+    assert y.dtype == dtype and x.grad.dtype == dtype
+    np.testing.assert_array_equal(y.data, y_ref)
+    np.testing.assert_array_equal(x.grad, gx_ref)
 
 
 def test_softplus_stable_and_grad():
