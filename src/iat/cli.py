@@ -168,13 +168,15 @@ def cmd_synthesize(args) -> int:
         stem = f"{i:05d}"
         save_image(degraded, out_dir / f"input_{stem}.png")
         save_image(clean, out_dir / f"target_{stem}.png")
-        np.save(out_dir / f"raw_{stem}.npy", raw)
+        with atomic_open(out_dir / f"raw_{stem}.npy", "wb") as fh:
+            np.save(fh, raw)
         sidecar = {
             "clean": src.name,
             "profile": args.profile,
             "degradation": json.loads(dp.to_json()),
         }
-        (out_dir / f"params_{stem}.json").write_text(json.dumps(sidecar, indent=2))
+        with atomic_open(out_dir / f"params_{stem}.json") as fh:
+            fh.write(json.dumps(sidecar, indent=2))
     print(f"wrote {args.count} samples to {out_dir}")
     return EXIT_OK
 

@@ -18,7 +18,11 @@ backward state: whatever it needs beyond the op's inputs and output (a relu
 mask, a sign, GELU's tanh) it computes when backward runs. The innermost
 active `Tape` (thread local) keeps the rule when any input requires grad;
 with no active tape nothing is kept, so inference runs tape-free. A tape
-supports one `Tape.backward` pass and is consumed by it.
+supports one `Tape.backward` pass and is consumed by it: backward pops each
+entry and moves its output's gradient into the rule, so an op's closure (its
+inputs, padded planes) and that gradient are freed as soon as they are used.
+Gradients land on leaves only (parameters and inputs) and accumulate across
+tapes, so a batch can be differentiated one sample's tape at a time.
 
 float32 is the working precision; building tensors from float64 arrays keeps
 float64 throughout, which the finite-difference tests rely on.
@@ -161,7 +165,12 @@ def _active_tape():
 
 
 class Tape:
-    """Ordered record of executed ops; one backward pass, then consumed."""
+    """Ordered record of executed ops; one backward pass, then consumed.
+
+    Each entry is (op output, backward rule). The rule's closure holds
+    everything backward needs, so a tape's size is the graph's memory;
+    backward releases it entry by entry, last op first.
+    """
 
     def __init__(self):
         self._ops = []  # (output tensor, backward rule) in execution order
@@ -182,7 +191,15 @@ class Tape:
         return len(self._ops)
 
     def backward(self, loss: Tensor):
-        """Populate .grad for every requires_grad tensor reachable from loss."""
+        """Add d(loss)/d(leaf) into .grad of every leaf reachable from loss.
+
+        Leaves are the requires_grad tensors no recorded op produced
+        (parameters, inputs); their .grad accumulates across tapes. Each entry
+        is popped and its output's gradient moved into its rule, so memory
+        falls as the walk proceeds and no op output keeps a .grad. The
+        tape is consumed before the first rule runs, so a rule that raises
+        leaves a tape that refuses another backward.
+        """
         if self._consumed:
             raise ContractError("tape already consumed by a previous backward pass")
         if loss.data.size != 1:
@@ -191,13 +208,14 @@ class Tape:
             raise ContractError("backward on an empty tape")
         if not loss.requires_grad:
             raise ContractError("loss does not depend on any requires_grad tensor")
-        loss.grad = np.ones_like(loss.data)
-        for out, rule in reversed(self._ops):
-            if out.grad is None:
-                continue  # not reachable from the loss
-            rule(out.grad)
-        self._ops.clear()
         self._consumed = True
+        loss.grad = np.ones_like(loss.data)
+        ops = self._ops
+        while ops:
+            out, rule = ops.pop()
+            g, out.grad = out.grad, None
+            if g is not None:  # None: not reachable from the loss
+                rule(g)
 
 
 def _emit(data, inputs, rule) -> Tensor:

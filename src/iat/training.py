@@ -256,9 +256,22 @@ def train_loop(
 ) -> tuple[IATParams, list[LogRow]]:
     """Shuffled minibatches of random crops/flips; returns best-PSNR params.
 
+    A step draws its batch's crops and flips in batch order, then runs each
+    sample on a tape of its own: forward, loss, and backward of
+    loss * (1/len(batch)), which adds that sample's share into the
+    parameters' .grad. Backward frees the tape as it walks it, so a step
+    holds one sample's graph at any batch size. Samples run last first
+    because that is the order a reverse walk of one tape over the whole
+    batch reaches them: each parameter gradient gets the same terms added in
+    the same order, so the gradients are bit-identical to that single tape's.
+    The logged loss is the float32 sum of the sample losses in batch order,
+    times 1/len(batch), which is the value that tape would have computed.
+
     Validation PSNR is measured on val_samples (the training pairs when no
     held-out split is given) every eval_every steps; the best snapshot is
-    restored into the returned parameters. Non-finite loss aborts.
+    restored into the returned parameters. A non-finite loss raises
+    `TrainingDiverged` before Adam runs, with every parameter's .grad
+    cleared.
     """
     if not samples:
         raise ConfigurationError("training dataset is empty")
@@ -297,10 +310,11 @@ def train_loop(
             if not order:
                 order = list(data_rng.permutation(len(samples)))
             batch.append(samples[order.pop()])
-        with Tape() as tape:
-            total = None
-            for s in batch:
-                inp, tgt, raw = _crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng)
+        crops = [_crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng) for s in batch]
+        losses = [None] * len(batch)
+        for i in reversed(range(len(batch))):
+            inp, tgt, raw = crops[i]
+            with Tape() as tape:
                 out, f_out = iat_forward(_to_nchw(inp), params)
                 loss = compute_loss(
                     cfg,
@@ -309,12 +323,17 @@ def train_loop(
                     f_out,
                     _to_nchw(raw) if raw is not None else None,
                 )
-                total = loss if total is None else total + loss
-            total = total * (1.0 / len(batch))
-            loss_val = total.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDiverged(step, lr, list(history) + [loss_val])
-            tape.backward(total)
+                losses[i] = loss.data
+                if math.isfinite(loss.item()):  # else the step aborts below
+                    tape.backward(loss * (1.0 / len(batch)))
+        total = losses[0]
+        for v in losses[1:]:
+            total = total + v  # in batch order and dtype, as one tape's sum added them
+        loss_val = float(total * np.asarray(1.0 / len(batch), dtype=total.dtype))
+        if not math.isfinite(loss_val):
+            for _, p in named:
+                p.zero_grad()
+            raise TrainingDiverged(step, lr, list(history) + [loss_val])
         history.append(loss_val)
         adam_step(named, state, lr, cfg.weight_decay)
         psnr_val = None

@@ -1,6 +1,7 @@
 """Writes are all or nothing: a failed write keeps the previous file and
 leaves no temp file behind."""
 
+import json
 import os
 import stat
 
@@ -98,3 +99,35 @@ def test_write_to_pipe_writes_directly(tmp_path):
     assert data.startswith(b"step,lr,loss,psnr_val\n")
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
+
+
+@pytest.mark.parametrize("name", ["raw_00000.npy", "params_00000.json"])
+def test_synthesize_refused_replace_keeps_previous_file(tmp_path, monkeypatch, name):
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    save_image(ImageRGB(np.random.default_rng(0).uniform(0.2, 0.8, (12, 12, 3))), clean / "a.png")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / name
+    target.write_bytes(OLD)
+    argv = ["synthesize", "--clean", str(clean), "--out", str(out), "--count", "1"]
+    replace = os.replace
+
+    def refuse(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("replace refused")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(argv) != 0
+    assert target.read_bytes() == OLD
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert target.read_bytes() != OLD
+    assert not [p.name for p in out.iterdir() if p.name.startswith(".")]
+    if name.endswith(".npy"):
+        assert np.load(target).shape == (12, 12, 3)
+    else:
+        assert json.loads(target.read_text())["clean"] == "a.png"

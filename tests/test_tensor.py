@@ -633,6 +633,39 @@ def test_tape_consumed_once():
             tape.backward(loss)
 
 
+def test_backward_releases_op_outputs_and_leaves_keep_grads():
+    x = parameter([1.0, 2.0])
+    w = parameter([3.0, 4.0])
+    with Tape() as tape:
+        y = x * w
+        z = y * y
+        loss = z.sum()
+        tape.backward(loss)
+    assert len(tape) == 0
+    assert y.grad is None and z.grad is None and loss.grad is None
+    np.testing.assert_array_equal(x.grad, [18.0, 64.0])  # 2*y*w
+    np.testing.assert_array_equal(w.grad, [6.0, 32.0])  # 2*y*x
+    with Tape() as tape:  # a second tape adds into the leaves
+        tape.backward((x * w).sum())
+    np.testing.assert_array_equal(x.grad, [21.0, 68.0])
+    np.testing.assert_array_equal(w.grad, [7.0, 34.0])
+
+
+def test_rule_that_raises_consumes_the_tape():
+    x = parameter([1.0])
+
+    def rule(g):
+        raise FloatingPointError("rule failed")
+
+    with Tape() as tape:
+        loss = tensor._emit(x.data * 2.0, (x,), rule).sum()
+        with pytest.raises(FloatingPointError):
+            tape.backward(loss)
+        with pytest.raises(ContractError):
+            tape.backward(loss)
+    assert x.grad is None
+
+
 def test_backward_on_empty_tape():
     x = parameter([1.0])
     with Tape() as tape:

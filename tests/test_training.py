@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,16 +9,22 @@ from hypothesis import strategies as st
 from iat.errors import ConfigurationError, ContractError, ShapeError, TrainingDiverged
 from iat.image_io import ImageRGB
 from iat.isp import degrade, sample_degradation
-from iat.model import IATConfig, iat_init, named_parameters
+from iat.model import IATConfig, iat_forward, iat_init, named_parameters
 from iat.rng import philox
 from iat.tensor import Tape, Tensor, parameter
 from iat.training import (
+    LOSS_KINDS,
     AdamState,
     LogRow,
     Sample,
     TrainConfig,
     _crop_and_flip,
+    _mean_psnr,
+    _restore,
+    _snapshot,
+    _to_nchw,
     adam_step,
+    compute_loss,
     cosine_lr,
     gradient_difference,
     l1_loss,
@@ -324,14 +333,94 @@ def test_train_loop_mixed_raw_runs():
     assert len(rows) == 10
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf reaches gelu pre-abort
-def test_train_loop_nan_abort():
-    samples = make_pairs(1)
-    cfg = small_cfg(lr0=1e6, steps=40, eval_every=1000)  # guaranteed blow-up
+def _assert_diverges_with_no_grads(samples, cfg):
+    params = iat_init(SMALL_MODEL, rng=philox(cfg.seed, 0))
     with pytest.raises(TrainingDiverged) as exc_info:
-        train_loop(samples, cfg, config=SMALL_MODEL)
+        train_loop(samples, cfg, params=params)
     assert exc_info.value.step >= 0
     assert len(exc_info.value.history) >= 1
+    assert not math.isfinite(exc_info.value.history[-1])
+    stale = [name for name, p in named_parameters(params) if p.grad is not None]
+    assert stale == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf reaches gelu pre-abort
+def test_train_loop_nan_abort():
+    cfg = small_cfg(lr0=1e6, steps=40, eval_every=1000)  # guaranteed blow-up
+    _assert_diverges_with_no_grads(make_pairs(1), cfg)
+
+
+def test_train_loop_nan_sample_clears_grads():
+    # one sample's loss is NaN while the other sample's backward still runs
+    samples = make_pairs(2)
+    samples[1].target = ImageRGB(np.full_like(samples[1].target.pixels, np.nan))
+    _assert_diverges_with_no_grads(samples, small_cfg(steps=3))
+
+
+def train_loop_one_tape(samples, cfg, config):
+    """Reference step: the whole batch on one tape, one backward per step."""
+    params = iat_init(config, rng=philox(cfg.seed, 0))
+    named = list(named_parameters(params))
+    state = AdamState()
+    data_rng = philox(cfg.seed, 1)
+    rows, order = [], []
+    best_psnr, best = -math.inf, _snapshot(params)
+    for step in range(cfg.steps):
+        lr = cosine_lr(step, cfg.steps, cfg.lr0)
+        batch = []
+        while len(batch) < cfg.batch_size:
+            if not order:
+                order = list(data_rng.permutation(len(samples)))
+            batch.append(samples[order.pop()])
+        with Tape() as tape:
+            total = None
+            for s in batch:
+                inp, tgt, raw = _crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng)
+                out, f_out = iat_forward(_to_nchw(inp), params)
+                loss = compute_loss(cfg, out, _to_nchw(tgt), f_out, _to_nchw(raw))
+                total = loss if total is None else total + loss
+            total = total * (1.0 / len(batch))
+            tape.backward(total)
+        adam_step(named, state, lr, cfg.weight_decay)
+        psnr_val = None
+        if (step + 1) % cfg.eval_every == 0 or step == cfg.steps - 1:
+            psnr_val = _mean_psnr(params, samples)
+            if psnr_val > best_psnr:
+                best_psnr, best = psnr_val, _snapshot(params)
+        rows.append(LogRow(step=step, lr=lr, loss=total.item(), psnr_val=psnr_val))
+    _restore(params, best)
+    return params, rows
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8])
+@pytest.mark.parametrize("loss", LOSS_KINDS)
+def test_per_sample_tapes_match_one_tape(loss, batch_size):
+    # 24x24 and 14x14 images under crop 16: crops differ in shape within a batch
+    samples = make_pairs(3, size=24) + make_pairs(2, size=14, seed=1)
+    cfg = small_cfg(loss=loss, batch_size=batch_size, steps=4, eval_every=2)
+    got, got_rows = train_loop(samples, cfg, config=SMALL_MODEL)
+    want, want_rows = train_loop_one_tape(samples, cfg, SMALL_MODEL)
+    assert [r.loss for r in got_rows] == [r.loss for r in want_rows]
+    assert [r.psnr_val for r in got_rows] == [r.psnr_val for r in want_rows]
+    for (name, a), (_, b) in zip(named_parameters(got), named_parameters(want)):
+        np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def _one_step_peak_bytes(batch_size):
+    samples = make_pairs(batch_size, size=32)
+    cfg = small_cfg(batch_size=batch_size, steps=1, crop_size=32)
+    params = iat_init(SMALL_MODEL, rng=philox(cfg.seed, 0))
+    tracemalloc.start()
+    try:
+        train_loop(samples, cfg, params=params)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_memory_is_bounded_by_one_sample():
+    one, eight = _one_step_peak_bytes(1), _one_step_peak_bytes(8)
+    assert eight <= 1.25 * one, (one, eight)
 
 
 def test_metrics_csv_format(tmp_path):
