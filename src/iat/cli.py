@@ -204,8 +204,11 @@ def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
             continue
         raw = None
         raw_path = directory / f"raw_{stem}.npy"
-        if raw_path.exists():
-            raw = np.load(raw_path).astype(np.float32)
+        if want_raw and raw_path.exists():
+            try:
+                raw = np.load(raw_path).astype(np.float32)
+            except (ValueError, EOFError, TypeError) as e:
+                raise DecodeError(f"cannot load {raw_path}: {e}") from None
         samples.append(
             Sample(input=load_image(inp), target=load_image(target), raw=raw, name=inp.name)
         )

@@ -163,7 +163,7 @@ def pem_forward(x: Tensor, p: PemParams) -> Tensor:
     """
     c = p.scale.k_spatial.shape[0]
     if x.ndim != 4 or x.shape[1] != c:
-        raise ShapeError(f"pem_forward expects (N, {c}, H, W), got {x.shape}")
+        raise ShapeError(f"pem_forward expects (1, {c}, H, W), got {x.shape}")
     w = p.pos_dw.weight
     centre = np.zeros(w.shape, dtype=w.dtype)
     centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1

@@ -1,26 +1,27 @@
 """Reverse-mode automatic differentiation over dense float tensors.
 
-The operation set is exactly what the enhancement model and its losses need:
-broadcast elementwise arithmetic, direct 2-d convolution (full and depthwise),
-matmul, a clamped power op, a small activation zoo, softmax, reductions, and
-shape bookkeeping (reshape/transpose/slice).
+The operation set is exactly what the enhancement model and its losses
+need, at the shapes it needs: broadcast elementwise arithmetic, 2-d
+convolution (full and depthwise) of one image with a bias, the product of two
+matrices, a clamped power op, relu/tanh/gelu, softmax, whole-tensor sums and
+means, and shape bookkeeping (reshape/permute/slice).
 
 The plane-sized passes run in strips of about `_STRIP_FLOATS` floats per
 array, so each pass rereads data in L2 instead of streaming whole planes:
-GELU forward and backward over the flat array (see `activation`), and the
-conv forward in strips of output rows whose height counts both input and
-output channels (see `conv2d`). Each conv strip zero-pads only its own input
-rows; convolution taps read 1-d windows of that flat padded strip.
+GELU forward and backward over the flat array (see `gelu`), and the conv
+forward in strips of output rows whose height counts both input and output
+channels (see `conv2d`). Each conv strip zero-pads only its own input rows;
+convolution taps read 1-d windows of that flat padded strip.
 
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
 backward state: whatever it needs beyond the op's inputs and output (a relu
-mask, a sign, GELU's tanh) it computes when backward runs. The innermost
-active `Tape` (thread local) keeps the rule when any input requires grad;
-with no active tape nothing is kept, so inference runs tape-free. A tape
-supports one `Tape.backward` pass and is consumed by it: backward pops each
-entry and moves its output's gradient into the rule, so an op's closure (its
-inputs, padded planes) and that gradient are freed as soon as they are used.
+mask, a sign, GELU's tanh) it computes when backward runs. The thread's one
+open `Tape` keeps the rule when any input requires grad; with no tape open
+nothing is kept, so inference runs tape-free. A tape supports one
+`Tape.backward` pass and is consumed by it: backward pops each entry and
+moves its output's gradient into the rule, so an op's closure (its inputs,
+padded planes) and that gradient are freed as soon as they are used.
 Gradients land on leaves only (parameters and inputs) and accumulate across
 tapes, so a batch can be differentiated one sample's tape at a time.
 
@@ -87,9 +88,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         self.grad = None
 
@@ -123,17 +121,14 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sum(self, axes=None):
-        return reduce(self, "sum", axes)
+    def sum(self):
+        return reduce(self, "sum")
 
-    def mean(self, axes=None):
-        return reduce(self, "mean", axes)
+    def mean(self):
+        return reduce(self, "mean")
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def transpose(self, axes):
-        return permute(self, axes)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -148,20 +143,7 @@ def parameter(data, dtype=None) -> Tensor:
 # tape
 
 
-_tls = threading.local()
-
-
-def _tape_stack():
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = []
-        _tls.stack = stack
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_tls = threading.local()  # .tape: the tape recording on this thread, if any
 
 
 class Tape:
@@ -169,7 +151,8 @@ class Tape:
 
     Each entry is (op output, backward rule). The rule's closure holds
     everything backward needs, so a tape's size is the graph's memory;
-    backward releases it entry by entry, last op first.
+    backward releases it entry by entry, last op first. A thread records on
+    one tape at a time: opening a second one inside it raises ContractError.
     """
 
     def __init__(self):
@@ -177,14 +160,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if getattr(_tls, "tape", None) is not None:
+            raise ContractError("a tape is already recording on this thread")
+        _tls.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise ContractError("tape stack corrupted: exiting a non-innermost tape")
-        stack.pop()
+        _tls.tape = None
         return False
 
     def __len__(self):
@@ -224,7 +206,7 @@ def _emit(data, inputs, rule) -> Tensor:
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
-    tape = _active_tape()
+    tape = getattr(_tls, "tape", None)
     if tape is not None and out.requires_grad:
         tape._ops.append((out, rule))
     return out
@@ -301,16 +283,16 @@ def absolute(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product; leading dims broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    """Product of two matrices."""
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs two matrices, got {a.shape} and {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    data = a.data @ b.data
 
     def rule(g):
-        _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+        _accumulate(a, g @ b.data.T)
+        _accumulate(b, a.data.T @ g)
 
     return _emit(data, (a, b), rule)
 
@@ -329,44 +311,42 @@ def conv_output_size(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
-def _strip_rows(n: int, cin: int, cout: int, wp: int) -> int:
+def _strip_rows(cin: int, cout: int, wp: int) -> int:
     """Output rows per conv2d forward strip at padded row width wp.
 
     Both the accumulator (Cout channels) and each tap's input window (Cin
     channels) span the strip's rows, so the larger of the two sets the height.
     """
-    return max(1, _STRIP_FLOATS // (n * max(cin, cout) * wp))
+    return max(1, _STRIP_FLOATS // (max(cin, cout) * wp))
 
 
 def _pad_rows(x: np.ndarray, buf: np.ndarray, r0: int, padding: int) -> None:
-    """Fill buf (N, C, rows, W + 2*padding) with rows [r0, r0 + rows) of x's
-    zero-padded plane; buf's border columns must already be zero."""
-    h, wdt = x.shape[2:]
-    r1 = r0 + buf.shape[2]
+    """Fill buf (C, rows, W + 2*padding) with rows [r0, r0 + rows) of x's
+    (C, H, W) zero-padded plane; buf's border columns must already be zero."""
+    h, wdt = x.shape[1:]
+    r1 = r0 + buf.shape[1]
     a = min(max(r0, padding), r1)  # padded rows [a, b) hold rows of x
     b = max(a, min(r1, padding + h))
-    buf[:, :, : a - r0] = 0
-    buf[:, :, a - r0 : b - r0, padding : padding + wdt] = x[:, :, a - padding : b - padding]
-    buf[:, :, b - r0 :] = 0
+    buf[:, : a - r0] = 0
+    buf[:, a - r0 : b - r0, padding : padding + wdt] = x[:, a - padding : b - padding]
+    buf[:, b - r0 :] = 0
 
 
-def conv2d(
-    x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1, padding: int = 0
-) -> Tensor:
-    """2-d convolution on NCHW input; the weight's shape says the kind.
+def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-d convolution of one (1, C, H, W) image, plus a per-channel bias.
 
-    Two kinds, each with one code path at any batch size and stride: full,
-    weights (Cout, Cin, kh, kw), and depthwise, weights (C, 1, kh, kw) on
-    C = Cin = Cout channels. Any other weight shape raises ShapeError. With
-    Cin = 1 the weight is full; both kinds would compute the same thing.
-    Padding is symmetric and zero.
+    The weight's shape says the kind, each with one code path at any stride:
+    full, weights (Cout, Cin, kh, kw), and depthwise, weights (C, 1, kh, kw)
+    on C = Cin = Cout channels. Any other weight shape, or more than one
+    image, raises ShapeError. With Cin = 1 the weight is full; both kinds
+    would compute the same thing. Padding is symmetric and zero.
 
-    Taps read flat planes of row width wp = W + 2*padding. Output (yo, xo)
-    sits at j = yo*wp + xo of an (Ho, wp) grid whose columns xo >= Wo are
-    junk, and tap (dy, dx) reads the 1-d window of the flat padded plane at
-    stride*j + dy*wp + dx: contiguous at stride 1, one uniform stride
-    otherwise. Full taps are one matmul of the (Cout, Cin) tap weights on the
-    window, depthwise taps one broadcast multiply.
+    Every array inside is a 2-d (C, L) plane; rows are wp = W + 2*padding
+    wide. Output (yo, xo) sits at j = yo*wp + xo of an (Ho, wp) grid whose
+    columns xo >= Wo are junk, and tap (dy, dx) reads the (C, m) window of
+    the flat padded plane at stride*j + dy*wp + dx: contiguous at stride 1,
+    one uniform stride otherwise. Full taps are one gemm of the (Cout, Cin)
+    tap weights with the window, depthwise taps one broadcast multiply.
 
     The forward runs in strips of output rows, `_strip_rows` high, so a
     strip's accumulator and every tap's input window stay in L2. Each strip
@@ -379,7 +359,9 @@ def conv2d(
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
-    n, cin, h, wdt = x.shape
+    if x.shape[0] != 1:
+        raise ShapeError(f"conv2d takes one image (1, C, H, W), got {x.shape}")
+    _, cin, h, wdt = x.shape
     cout, cpg, kh, kw = w.shape
     depthwise = cpg != cin
     if depthwise and not (cpg == 1 and cout == cin):
@@ -387,7 +369,7 @@ def conv2d(
             f"weight {w.shape} is neither full (Cout, {cin}, kh, kw) nor depthwise "
             f"({cin}, 1, kh, kw) for input {x.shape}"
         )
-    if bias is not None and bias.shape != (cout,):
+    if bias.shape != (cout,):
         raise ShapeError(f"bias shape {bias.shape} != ({cout},)")
     ho = conv_output_size(h, kh, stride, padding)
     wo = conv_output_size(wdt, kw, stride, padding)
@@ -396,6 +378,7 @@ def conv2d(
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wdt}"
         )
 
+    xd = x.data[0]
     wp = wdt + 2 * padding
     offsets = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
 
@@ -405,29 +388,29 @@ def conv2d(
 
     # the whole padded plane, with enough zero rows for the last tap's window
     rows = max(h + 2 * padding, rows_read(ho))
-    band = _strip_rows(n, cin, cout, wp)
+    band = _strip_rows(cin, cout, wp)
     if (rows, padding) == (h, 0):  # the taps read x itself
-        plane = x.data.reshape(n, cin, h * wdt)
+        plane = xd.reshape(cin, h * wdt)
     elif band >= ho:  # one strip: pad the whole plane, which the rule reuses
-        buf = np.zeros((n, cin, rows, wp), dtype=x.data.dtype)
-        _pad_rows(x.data, buf, 0, padding)
-        plane = buf.reshape(n, cin, rows * wp)
+        buf = np.zeros((cin, rows, wp), dtype=xd.dtype)
+        _pad_rows(xd, buf, 0, padding)
+        plane = buf.reshape(cin, rows * wp)
     else:  # a strip's rows, padded into one reused buffer per strip
-        buf = np.zeros((n, cin, rows_read(band), wp), dtype=x.data.dtype)
+        buf = np.zeros((cin, rows_read(band), wp), dtype=xd.dtype)
         plane = None
 
     def window(flat, j0, m, off):
-        """The (N, C, m) window tap `off` reads for grid cells [j0, j0 + m)."""
+        """The (C, m) window tap `off` reads for grid cells [j0, j0 + m)."""
         start = stride * j0 + off
-        return flat[:, :, start : start + stride * (m - 1) + 1 : stride]
+        return flat[:, start : start + stride * (m - 1) + 1 : stride]
 
-    # per-tap weights: (C, 1) broadcast over a window, or (Cout, Cin) for matmul
+    # per-tap weights: (C, 1) broadcast over a window, or (Cout, Cin) for a gemm
     wt = np.ascontiguousarray(np.moveaxis(w.data.reshape(cout, cpg, kh * kw), 2, 0))
     dtype = np.result_type(x.data, w.data)
 
-    data = np.empty((n, cout, ho, wo), dtype=dtype)
+    data = np.empty((1, cout, ho, wo), dtype=dtype)
     direct = wo == wp  # no junk columns: accumulate in the output
-    acc = np.empty(n * cout * min(band, ho) * wp, dtype=dtype)
+    acc = np.empty(cout * min(band, ho) * wp, dtype=dtype)
     tmp = np.empty_like(acc)
     for y0 in range(0, ho, band):
         y1 = min(y0 + band, ho)
@@ -435,12 +418,12 @@ def conv2d(
         if plane is not None:
             src, j0 = plane, y0 * wp
         else:
-            strip = buf[:, :, : rows_read(y1) - stride * y0]
-            _pad_rows(x.data, strip, stride * y0, padding)
-            src, j0 = strip.reshape(n, cin, -1), 0
-        out = data[:, :, y0:y1]
-        a = out.reshape(n, cout, m) if direct else acc[: n * cout * m].reshape(n, cout, m)
-        t = tmp[: n * cout * m].reshape(n, cout, m)
+            strip = buf[:, : rows_read(y1) - stride * y0]
+            _pad_rows(xd, strip, stride * y0, padding)
+            src, j0 = strip.reshape(cin, -1), 0
+        out = data[0, :, y0:y1]
+        a = out.reshape(cout, m) if direct else acc[: cout * m].reshape(cout, m)
+        t = tmp[: cout * m].reshape(cout, m)
         for i, off in enumerate(offsets):
             win = window(src, j0, m, off)
             if depthwise:
@@ -450,61 +433,55 @@ def conv2d(
             if i:
                 a += t
         if direct:
-            if bias is not None:
-                out += bias.data[:, None, None]
-            continue
-        valid = a.reshape(n, cout, y1 - y0, wp)[:, :, :, :wo]
-        if bias is not None:
-            np.add(valid, bias.data[:, None, None], out=out)
+            out += bias.data[:, None, None]
         else:
-            out[...] = valid
+            valid = a.reshape(cout, y1 - y0, wp)[:, :, :wo]
+            np.add(valid, bias.data[:, None, None], out=out)
 
     def rule(g):
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        need_x = x.requires_grad
-        need_w = w.requires_grad
+        g = g[0]
+        if bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(1, 2)))
+        need_x, need_w = x.requires_grad, w.requires_grad
         if not (need_x or need_w):
             return
         # a full 1x1 stride-1 unpadded conv has no junk columns and one gemm over all of x
         whole = not depthwise and (kh, kw, stride, padding) == (1, 1, 1, 0)
         m = ho * wp
         if whole:
-            gf = g.reshape(n, cout, m)
+            gf = g.reshape(cout, m)
         else:
-            gf = np.zeros((n, cout, ho, wp), dtype=g.dtype)
-            gf[:, :, :, :wo] = g
-            gf = gf.reshape(n, cout, m)
+            gf = np.zeros((cout, ho, wp), dtype=g.dtype)
+            gf[:, :, :wo] = g
+            gf = gf.reshape(cout, m)
         if need_w:
             xf = plane
             if xf is None:
-                xpad = np.zeros((n, cin, rows, wp), dtype=x.data.dtype)
-                _pad_rows(x.data, xpad, 0, padding)
-                xf = xpad.reshape(n, cin, rows * wp)
+                xpad = np.zeros((cin, rows, wp), dtype=xd.dtype)
+                _pad_rows(xd, xpad, 0, padding)
+                xf = xpad.reshape(cin, rows * wp)
             gw = np.empty((cout, cpg, kh * kw), dtype=w.data.dtype)
             for i, off in enumerate(offsets):
                 win = window(xf, 0, m, off)
                 if depthwise:  # one dot per channel
-                    gwi = np.matmul(gf[:, :, None, :], win[:, :, :, None])
+                    gw[:, :, i] = np.matmul(gf[:, None, :], win[:, :, None])[:, 0]
                 else:
-                    gwi = np.matmul(gf, win.transpose(0, 2, 1))
-                gw[:, :, i] = gwi.sum(axis=0).reshape(cout, cpg)
+                    gw[:, :, i] = gf @ win.T
             _accumulate(w, gw.reshape(w.data.shape))
         if need_x and whole:
-            _accumulate(x, np.matmul(wt[0].T, gf).reshape(x.data.shape))
+            _accumulate(x, (wt[0].T @ gf).reshape(x.data.shape))
         elif need_x:
-            gxf = np.zeros((n, cin, rows * wp), dtype=x.data.dtype)
+            gxf = np.zeros((cin, rows * wp), dtype=xd.dtype)
             for i, off in enumerate(offsets):
                 win = window(gxf, 0, m, off)
                 if depthwise:
                     win += wt[i] * gf
                 else:
-                    win += np.matmul(wt[i].T, gf)
-            gxp = gxf.reshape(n, cin, rows, wp)
+                    win += wt[i].T @ gf
+            gxp = gxf.reshape(1, cin, rows, wp)
             _accumulate(x, gxp[:, :, padding : padding + h, padding : padding + wdt])
 
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _emit(data, inputs, rule)
+    return _emit(data, (x, w, bias), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -554,70 +531,61 @@ def _gelu_strips(xd: np.ndarray, *flat: np.ndarray):
         yield (xs, t, *(a[s0 : s0 + xs.size] for a in flat))
 
 
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise relu / tanh / gelu with exact derivatives.
-
-    GELU's forward and backward rule run in `_STRIP_FLOATS`-element strips
-    of the flat array (see `_gelu_strips`), so each of their passes stays in
-    L2 and only the output is plane-sized.
-    """
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0); gradient 0 at x == 0."""
     xd = x.data
-    if kind == "relu":
-        data = np.maximum(xd, 0)
+    data = np.maximum(xd, 0)
 
-        def rule(g):
-            _accumulate(x, g * (xd > 0).astype(xd.dtype))
+    def rule(g):
+        _accumulate(x, g * (xd > 0).astype(xd.dtype))
 
-    elif kind == "tanh":
-        data = np.tanh(xd)
-
-        def rule(g):
-            _accumulate(x, g * (1.0 - data * data))
-
-    elif kind == "gelu":
-        # tanh form (the common transformer variant): 0.5*x*(1+t); backward
-        # recomputes t so the tape holds no copy
-        data = np.empty(xd.shape, dtype=xd.dtype)
-        for xs, t, out in _gelu_strips(xd, data.reshape(-1)):
-            t += 1.0
-            np.multiply(xs, 0.5, out=out)
-            out *= t
-
-        def rule(g):
-            # 0.5*(1+t) + 0.5*x*(1-t*t)*c*(1+3a*x*x), times g
-            gx = np.empty(xd.shape, dtype=xd.dtype)
-            db = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
-            for xs, t, gs, out in _gelu_strips(xd, g.reshape(-1), gx.reshape(-1)):
-                d = np.multiply(xs, xs, out=db[: xs.size])
-                d *= 3.0 * _GELU_A
-                d += 1.0
-                d *= _GELU_C
-                d *= xs
-                d *= 0.5
-                np.multiply(t, t, out=out)  # out is scratch until the last line
-                np.subtract(1.0, out, out=out)
-                d *= out
-                t += 1.0
-                t *= 0.5
-                d += t
-                np.multiply(d, gs, out=out)
-            _accumulate(x, gx)
-
-    else:
-        raise ConfigurationError(f"unknown activation kind {kind!r}")
     return _emit(data, (x,), rule)
 
 
-def relu(x: Tensor) -> Tensor:
-    return activation(x, "relu")
-
-
 def tanh(x: Tensor) -> Tensor:
-    return activation(x, "tanh")
+    data = np.tanh(x.data)
+
+    def rule(g):
+        _accumulate(x, g * (1.0 - data * data))
+
+    return _emit(data, (x,), rule)
 
 
 def gelu(x: Tensor) -> Tensor:
-    return activation(x, "gelu")
+    """tanh-form GELU (the common transformer variant): 0.5*x*(1 + t).
+
+    The forward and the backward rule run in `_STRIP_FLOATS`-element strips
+    of the flat array (see `_gelu_strips`), so each pass stays in L2 and only
+    the output is plane-sized. The rule recomputes t; the tape keeps no copy.
+    """
+    xd = x.data
+    data = np.empty(xd.shape, dtype=xd.dtype)
+    for xs, t, out in _gelu_strips(xd, data.reshape(-1)):
+        t += 1.0
+        np.multiply(xs, 0.5, out=out)
+        out *= t
+
+    def rule(g):
+        # 0.5*(1+t) + 0.5*x*(1-t*t)*c*(1+3a*x*x), times g
+        gx = np.empty(xd.shape, dtype=xd.dtype)
+        db = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
+        for xs, t, gs, out in _gelu_strips(xd, g.reshape(-1), gx.reshape(-1)):
+            d = np.multiply(xs, xs, out=db[: xs.size])
+            d *= 3.0 * _GELU_A
+            d += 1.0
+            d *= _GELU_C
+            d *= xs
+            d *= 0.5
+            np.multiply(t, t, out=out)  # out is scratch until the last line
+            np.subtract(1.0, out, out=out)
+            d *= out
+            t += 1.0
+            t *= 0.5
+            d += t
+            np.multiply(d, gs, out=out)
+        _accumulate(x, gx)
+
+    return _emit(data, (x,), rule)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -651,36 +619,18 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 # reductions and shape ops
 
 
-def reduce(x: Tensor, kind: str, axes=None) -> Tensor:
-    """sum/mean over `axes` (None = all axes, [] = identity)."""
+def reduce(x: Tensor, kind: str) -> Tensor:
+    """Sum or mean of every element of x, as a 0-d tensor."""
     if kind not in ("sum", "mean"):
         raise ConfigurationError(f"unknown reduce kind {kind!r}")
-    if axes is None:
-        ax = tuple(range(x.ndim))
-    else:
-        ax = tuple(int(a) % x.ndim if x.ndim else 0 for a in axes)
-        if len(set(ax)) != len(ax):
-            raise ConfigurationError(f"duplicate reduction axes in {axes}")
-        for a in axes:
-            if not -x.ndim <= int(a) < x.ndim:
-                raise ConfigurationError(f"axis {a} out of range for shape {x.shape}")
-    if not ax:
-        return _emit(x.data, (x,), lambda g: _accumulate(x, g))
-
-    count = 1
-    for a in ax:
-        count *= x.shape[a]
-    data = x.data.sum(axis=ax)
+    data = x.data.sum()
     if kind == "mean":
-        data = data / count
+        data = data / x.size
 
     def rule(g):
-        shape_kept = list(x.shape)
-        for a in ax:
-            shape_kept[a] = 1
-        ge = np.broadcast_to(g.reshape(shape_kept), x.shape)
+        ge = np.broadcast_to(g, x.shape)
         if kind == "mean":
-            ge = ge / count
+            ge = ge / x.size
         _accumulate(x, ge)
 
     return _emit(data, (x,), rule)

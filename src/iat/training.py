@@ -45,6 +45,9 @@ class TrainConfig:
     eval_every: int = 50
 
     def validate(self):
+        for key in ("lr0", "weight_decay", "lambda_raw", "w_percep"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigurationError(f"{key} must be finite, got {getattr(self, key)}")
         if self.lr0 <= 0:
             raise ConfigurationError(f"lr0 must be > 0, got {self.lr0}")
         if self.lambda_raw < 0:
@@ -53,8 +56,11 @@ class TrainConfig:
             raise ConfigurationError(f"crop_size must be >= 8, got {self.crop_size}")
         if self.loss not in LOSS_KINDS:
             raise ConfigurationError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigurationError("steps and batch_size must be >= 1")
+        if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
+            raise ConfigurationError(
+                "steps, batch_size and eval_every must be >= 1, got "
+                f"{self.steps}, {self.batch_size} and {self.eval_every}"
+            )
 
 
 @dataclass
@@ -250,7 +256,6 @@ def train_loop(
     samples: list[Sample],
     cfg: TrainConfig,
     params: IATParams | None = None,
-    val_samples: list[Sample] | None = None,
     config: IATConfig | None = None,
     start_step: int = 0,
 ) -> tuple[IATParams, list[LogRow]]:
@@ -267,11 +272,10 @@ def train_loop(
     The logged loss is the float32 sum of the sample losses in batch order,
     times 1/len(batch), which is the value that tape would have computed.
 
-    Validation PSNR is measured on val_samples (the training pairs when no
-    held-out split is given) every eval_every steps; the best snapshot is
-    restored into the returned parameters. A non-finite loss raises
-    `TrainingDiverged` before Adam runs, with every parameter's .grad
-    cleared.
+    Validation PSNR is measured on the training pairs every eval_every steps
+    and after the last one; the best snapshot is restored into the returned
+    parameters. A non-finite loss raises `TrainingDiverged` before Adam
+    runs, with every parameter's .grad cleared.
     """
     if not samples:
         raise ConfigurationError("training dataset is empty")
@@ -295,7 +299,6 @@ def train_loop(
     named = list(named_parameters(params))
     state = AdamState()
     data_rng = philox(cfg.seed, 1)
-    val = val_samples if val_samples else samples
     rows: list[LogRow] = []
     history: deque[float] = deque(maxlen=16)
     best_psnr = -math.inf
@@ -338,7 +341,7 @@ def train_loop(
         adam_step(named, state, lr, cfg.weight_decay)
         psnr_val = None
         if (step + 1) % cfg.eval_every == 0 or step == total_steps - 1:
-            psnr_val = _mean_psnr(params, val)
+            psnr_val = _mean_psnr(params, samples)
             if psnr_val > best_psnr:
                 best_psnr = psnr_val
                 best = _snapshot(params)

@@ -232,6 +232,41 @@ def test_train_mixed_raw_without_raw_files(clean_dir, tmp_path, capsys):
     assert "input_00000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,key",
+    [(["--eval-every", "0"], "eval_every"), (["--lr0", "nan"], "lr0")],
+)
+def test_train_bad_flag_value_is_usage_error(tmp_path, capsys, flags, key):
+    code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "o")] + flags)
+    assert code == 1
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,code",
+    [("eval", 0), ("train-mixed", 0), ("train-mixed_raw", 2)],
+)
+def test_truncated_raw_file_fails_only_commands_that_read_it(
+    clean_dir, identity_ckpt, tmp_path, capsys, command, code
+):
+    data = make_dataset(clean_dir, tmp_path)
+    raw = data / "raw_00000.npy"
+    raw.write_bytes(raw.read_bytes()[:100])
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(identity_ckpt), "--pairs", str(data)]
+    else:
+        cfg = write_cfg(tmp_path, steps=2, batch_size=1, crop_size=16)
+        argv = [
+            "train", "--data", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "m.iatc"), "--loss", command.split("-")[1],
+        ]
+    capsys.readouterr()
+    assert main(argv) == code
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "raw_00000.npy" in err
+
+
 def test_train_resume_continues_step_counter(clean_dir, tmp_path):
     data = make_dataset(clean_dir, tmp_path)
     cfg = write_cfg(tmp_path, batch_size=2, crop_size=16, eval_every=2, lr0=1e-3)

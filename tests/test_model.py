@@ -150,7 +150,7 @@ def test_flops_estimate_matches_counted_macs(monkeypatch, cfg):
 
     macs = []
 
-    def counting_conv2d(x, w, bias=None, stride=1, padding=0):
+    def counting_conv2d(x, w, bias, stride=1, padding=0):
         out = tensor.conv2d(x, w, bias, stride, padding)
         n, _, ho, wo = out.shape
         macs.append(n * ho * wo * w.size)

@@ -135,6 +135,24 @@ def test_default_lambda_is_tenth():
     assert TrainConfig().lambda_raw == 0.1
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("eval_every", 0),
+        ("eval_every", -3),
+        ("lr0", float("nan")),
+        ("lr0", float("inf")),
+        ("weight_decay", float("nan")),
+        ("lambda_raw", float("inf")),
+        ("w_percep", float("nan")),
+    ],
+)
+def test_train_config_rejects_bad_values(key, value):
+    TrainConfig().validate()  # the defaults pass
+    with pytest.raises(ConfigurationError, match=key):
+        TrainConfig(**{key: value}).validate()
+
+
 @given(st.integers(0, 2**31 - 1), st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_losses_nonnegative_zero_iff_equal(seed, equal):
