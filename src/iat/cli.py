@@ -100,6 +100,11 @@ def _from_keys(cls, values: dict):
     return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
+def _require_at_least(flag: str, value: int, minimum: int):
+    if value < minimum:
+        raise UsageError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _parse_resolution(text: str) -> tuple[int, int]:
     try:
         h, w = text.lower().split("x")
@@ -113,6 +118,7 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 
 def cmd_enhance(args) -> int:
+    _require_at_least("--threads", args.threads, 1)
     params, _ = load_checkpoint(args.checkpoint)
     inputs = _list_images(Path(args.input))
     if not inputs:
@@ -135,7 +141,7 @@ def cmd_enhance(args) -> int:
         return time.perf_counter() - t0
 
     failures = 0
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         futures = {pool.submit(work, p): p for p in inputs}
         for fut, path in futures.items():
             try:
@@ -155,6 +161,8 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    _require_at_least("--count", args.count, 1)
+    _require_at_least("--seed", args.seed, 0)
     clean_paths = _list_images(Path(args.clean))
     if not clean_paths:
         raise UsageError(f"no clean images found in {args.clean}")
@@ -299,19 +307,24 @@ def cmd_eval(args) -> int:
 def cmd_info(args) -> int:
     if bool(args.checkpoint) == bool(args.config):
         raise UsageError("give exactly one of --checkpoint or --config")
+    h, w = _parse_resolution(args.resolution)
+    step = None
     if args.checkpoint:
         params, step = load_checkpoint(args.checkpoint)
-        print(f"checkpoint step: {step}")
     else:
         params = iat_init(_from_keys(IATConfig, _load_json_config(args.config)), rng=philox(0))
     cfg = params.config
+    try:
+        flops = estimate_flops_detail(cfg, h, w)
+    except InputError as e:
+        raise UsageError(f"--resolution: {e}") from None
+    if step is not None:
+        print(f"checkpoint step: {step}")
     print(f"config: channels={cfg.channels} blocks={cfg.blocks} d={cfg.d}")
     report = count_params(params)
     for key in ("local", "encoder", "gpm"):
         print(f"params[{key}]: {report[key]}")
     print(f"params[total]: {report['total']}")
-    h, w = _parse_resolution(args.resolution)
-    flops = estimate_flops_detail(cfg, h, w)
     print(
         f"estimated GFLOPs at {h}x{w}: total {flops['total']:.3f} "
         f"(local {flops['local']:.3f}, global {flops['global']:.3f})"

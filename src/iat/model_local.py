@@ -159,21 +159,34 @@ def pem_forward(x: Tensor, p: PemParams) -> Tensor:
     re-parameterization, on the tape): the residual is +1 on pos_dw's centre
     tap, each norm is composed into the 1x1 after it (`fold_norm`), and each
     layer scale into the 1x1 before it (`fold_scale`). A plane then passes
-    through 6 convs, 3 GELUs and 2 adds.
+    through 6 convs, 3 GELUs and 2 adds. This is `pem_stack` of one block.
     """
-    c = p.scale.k_spatial.shape[0]
-    if x.ndim != 4 or x.shape[1] != c:
-        raise ShapeError(f"pem_forward expects (1, {c}, H, W), got {x.shape}")
-    w = p.pos_dw.weight
-    centre = np.zeros(w.shape, dtype=w.dtype)
-    centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
-    u = replace(p.pos_dw, weight=w + Tensor(centre))(x)
-    pw1 = fold_norm(p.norm1, p.pw1)
-    pw2 = fold_scale(p.scale.k_spatial, p.pw2)
-    v = u + pw2(gelu(p.dw(gelu(pw1(u)))))
-    mix1 = fold_norm(p.norm2, p.mix1)
-    mix2 = fold_scale(p.scale.k_channel, p.mix2)
-    return v + mix2(gelu(mix1(v)))
+    return pem_stack(x, [p])
+
+
+def pem_stack(x: Tensor, blocks: list[PemParams]) -> Tensor:
+    """`pem_forward` through each block in turn.
+
+    One name carries the plane from op to op, so an untaped forward frees
+    each plane as soon as its last reader has run: a block's input once
+    pos_dw has read it, u once the spatial residual add has. At most three
+    planes of the stack are alive at a time, besides the caller's `x`.
+    """
+    for p in blocks:
+        c = p.scale.k_spatial.shape[0]
+        if x.ndim != 4 or x.shape[1] != c:
+            raise ShapeError(f"pem_forward expects (1, {c}, H, W), got {x.shape}")
+        w = p.pos_dw.weight
+        centre = np.zeros(w.shape, dtype=w.dtype)
+        centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
+        x = replace(p.pos_dw, weight=w + Tensor(centre))(x)  # u
+        pw1 = fold_norm(p.norm1, p.pw1)
+        pw2 = fold_scale(p.scale.k_spatial, p.pw2)
+        x = x + pw2(gelu(p.dw(gelu(pw1(x)))))  # v
+        mix1 = fold_norm(p.norm2, p.mix1)
+        mix2 = fold_scale(p.scale.k_channel, p.mix2)
+        x = x + mix2(gelu(mix1(x)))
+    return x
 
 
 @dataclass
@@ -221,17 +234,13 @@ def local_branch_init(
 
 
 def local_branch_forward(img: Tensor, p: LocalBranchParams) -> LocalMaps:
-    """Full-resolution correction maps for an image in [0, 1]."""
+    """Full-resolution correction maps for an image in [0, 1].
+
+    Each stack's head runs as soon as the stack ends, so the gain features
+    are freed before the offset stack starts; only `stem_out` lives through
+    both stacks and their skips.
+    """
     stem_out = p.stem(img)
-    feat_gain = stem_out
-    for blk in p.gain_blocks:
-        feat_gain = pem_forward(feat_gain, blk)
-    feat_gain = feat_gain + stem_out  # stack-level skip
-    feat_offset = stem_out
-    for blk in p.offset_blocks:
-        feat_offset = pem_forward(feat_offset, blk)
-    feat_offset = feat_offset + stem_out
-    return LocalMaps(
-        gain=relu(p.gain_head(feat_gain)),
-        offset=tanh(p.offset_head(feat_offset)),
-    )
+    gain = relu(p.gain_head(pem_stack(stem_out, p.gain_blocks) + stem_out))
+    offset = tanh(p.offset_head(pem_stack(stem_out, p.offset_blocks) + stem_out))
+    return LocalMaps(gain=gain, offset=offset)

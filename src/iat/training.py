@@ -52,6 +52,8 @@ class TrainConfig:
             raise ConfigurationError(f"lr0 must be > 0, got {self.lr0}")
         if self.lambda_raw < 0:
             raise ConfigurationError(f"lambda_raw must be >= 0, got {self.lambda_raw}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.crop_size < 8:
             raise ConfigurationError(f"crop_size must be >= 8, got {self.crop_size}")
         if self.loss not in LOSS_KINDS:

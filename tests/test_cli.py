@@ -70,6 +70,17 @@ def test_synthesize_low_light_sidecars(clean_dir, tmp_path):
     assert len(list(out.glob("raw_*.npy"))) == 5
 
 
+@pytest.mark.parametrize(
+    "flags,flag", [(["--count", "-3"], "--count"), (["--seed", "-1"], "--seed")]
+)
+def test_synthesize_bad_flag_value_is_usage_error(clean_dir, tmp_path, capsys, flags, flag):
+    out = tmp_path / "synth"
+    code = main(["synthesize", "--clean", str(clean_dir), "--out", str(out)] + flags)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+    assert not out.exists()
+
+
 def test_synthesize_empty_clean_dir(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -169,6 +180,19 @@ def test_enhance_threads_match_single(clean_dir, identity_ckpt, tmp_path):
     assert tree_bytes(out1) == tree_bytes(out4)
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_enhance_threads_below_one_is_usage_error(
+    clean_dir, identity_ckpt, tmp_path, capsys, threads
+):
+    code = main([
+        "enhance", "--checkpoint", str(identity_ckpt), "--input", str(clean_dir),
+        "--output", str(tmp_path / "out"), "--threads", threads,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --threads")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -234,7 +258,11 @@ def test_train_mixed_raw_without_raw_files(clean_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags,key",
-    [(["--eval-every", "0"], "eval_every"), (["--lr0", "nan"], "lr0")],
+    [
+        (["--eval-every", "0"], "eval_every"),
+        (["--lr0", "nan"], "lr0"),
+        (["--seed", "-1"], "seed"),
+    ],
 )
 def test_train_bad_flag_value_is_usage_error(tmp_path, capsys, flags, key):
     code = main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "o")] + flags)
@@ -357,6 +385,16 @@ def test_info_resolution_scaling(tmp_path, capsys):
     ratio = locals_[1] / locals_[0]
     # exactness is asserted at API level; the CLI prints 3 decimals
     assert ratio == pytest.approx((400 * 600) / (256 * 256), rel=1e-2)
+
+
+@pytest.mark.parametrize("res", ["2x2", "400x3", "0x600", "2x2x2", "big"])
+def test_info_bad_resolution_is_usage_error(tmp_path, capsys, res):
+    cfg = tmp_path / "default.json"
+    cfg.write_text("{}")
+    assert main(["info", "--config", str(cfg), "--resolution", res]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --resolution")
+    assert captured.out == ""
 
 
 def test_info_requires_exactly_one_source(tmp_path, identity_ckpt):

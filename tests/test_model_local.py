@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iat.errors import ShapeError
-from iat.model import named_parameters
+from iat.model import iat_forward, iat_init, named_parameters
 from iat.model_local import (
     Conv2d,
     LightNormParams,
+    LocalBranchParams,
+    LocalMaps,
     PemParams,
     fold_norm,
     local_branch_forward,
@@ -16,7 +20,7 @@ from iat.model_local import (
     pem_init,
 )
 from iat.rng import philox
-from iat.tensor import Tape, Tensor, conv2d, gelu, matmul, reshape
+from iat.tensor import Tape, Tensor, conv2d, gelu, matmul, relu, reshape, tanh
 
 from fdcheck import assert_grads_close, numeric_grad
 
@@ -202,6 +206,83 @@ def test_pem_gradients_match_fd():
 
 # ---------------------------------------------------------------------------
 # whole branch
+
+
+def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMaps:
+    """Both stacks first, then both heads, one `pem_forward` call per block:
+    every block's input and the gain features stay alive to the end."""
+    stem_out = p.stem(img)
+    feat_gain = stem_out
+    for blk in p.gain_blocks:
+        feat_gain = pem_forward(feat_gain, blk)
+    feat_gain = feat_gain + stem_out
+    feat_offset = stem_out
+    for blk in p.offset_blocks:
+        feat_offset = pem_forward(feat_offset, blk)
+    feat_offset = feat_offset + stem_out
+    return LocalMaps(
+        gain=relu(p.gain_head(feat_gain)),
+        offset=tanh(p.offset_head(feat_offset)),
+    )
+
+
+def perturbed_branch(seed) -> LocalBranchParams:
+    """The default branch with N(0, 0.1) added to every parameter."""
+    p = local_branch_init(rng=philox(seed))
+    rng = np.random.default_rng(seed)
+    for _, t in named_parameters(p):
+        t.data = (t.data + rng.normal(0, 0.1, t.shape)).astype(np.float32)
+    return p
+
+
+@pytest.mark.parametrize("hw", [(37, 53), (400, 600)])
+def test_branch_forward_matches_reference_bits(hw):
+    p = perturbed_branch(20)
+    img = Tensor(np.random.default_rng(21).uniform(0, 1, (1, 3) + hw).astype(np.float32))
+    got, want = local_branch_forward(img, p), local_branch_forward_reference(img, p)
+    np.testing.assert_array_equal(got.gain.data, want.gain.data)
+    np.testing.assert_array_equal(got.offset.data, want.offset.data)
+
+
+def branch_grads(forward, p, img, r_gain, r_offset):
+    for _, t in named_parameters(p):
+        t.grad = None
+    img.grad = None
+    with Tape() as tape:
+        maps = forward(img, p)
+        tape.backward((maps.gain * Tensor(r_gain) + maps.offset * Tensor(r_offset)).sum())
+    return [("img", img.grad)] + [(name, t.grad) for name, t in named_parameters(p)]
+
+
+def test_branch_gradients_match_reference_bits():
+    # stem_out's four gradient contributions arrive in the same order, so every
+    # gradient is bit-identical, not merely close
+    p = perturbed_branch(22)
+    rng = np.random.default_rng(23)
+    img = Tensor(rng.uniform(0, 1, (1, 3, 37, 53)), requires_grad=True, dtype=np.float32)
+    r_gain = rng.standard_normal((1, 3, 37, 53)).astype(np.float32)
+    r_offset = rng.standard_normal((1, 3, 37, 53)).astype(np.float32)
+    got = branch_grads(local_branch_forward, p, img, r_gain, r_offset)
+    want = branch_grads(local_branch_forward_reference, p, img, r_gain, r_offset)
+    for (name, a), (_, b) in zip(got, want):
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+def test_forward_plane_budget():
+    # an untaped forward holds stem_out plus at most three 16-channel planes in
+    # flight (about 4.3 planes with the conv strips and the global branch);
+    # keeping block inputs or the gain features alive would reach about 7
+    h, w = 400, 600
+    p = iat_init(rng=philox(24))
+    img = Tensor(np.random.default_rng(25).uniform(0, 1, (1, 3, h, w)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        iat_forward(img, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    plane = 16 * h * w * np.dtype(np.float32).itemsize
+    assert peak <= 5 * plane, peak / plane
 
 
 def test_identity_at_init_exact():

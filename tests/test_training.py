@@ -145,6 +145,8 @@ def test_default_lambda_is_tenth():
         ("weight_decay", float("nan")),
         ("lambda_raw", float("inf")),
         ("w_percep", float("nan")),
+        ("seed", -1),
+        ("seed", -(2**40)),
     ],
 )
 def test_train_config_rejects_bad_values(key, value):
