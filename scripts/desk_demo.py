@@ -15,10 +15,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from iat.cli import discover_pairs, main as iat_main
-from iat.image_io import image_to_tensor, tensor_to_image
+from iat.cli import discover_pairs, evaluate, main as iat_main
 from iat.metrics import MetricReport
-from iat.model import iat_forward, load_checkpoint
+from iat.model import load_checkpoint
 
 
 def run(argv) -> None:
@@ -59,13 +58,11 @@ def main() -> int:
         ]
     )
 
+    samples = discover_pairs(pairs)
     baseline = MetricReport.empty()
-    trained = MetricReport.empty()
-    params, _ = load_checkpoint(ckpt)
-    for s in discover_pairs(pairs):
+    for s in samples:
         baseline.add(s.name, s.input, s.target)
-        out, _ = iat_forward(image_to_tensor(s.input), params)
-        trained.add(s.name, tensor_to_image(out), s.target)
+    trained = evaluate(load_checkpoint(ckpt)[0], samples)
     print()
     print(f"{'pair':<18}{'baseline dB':>12}{'trained dB':>12}")
     for name, b, t in zip(baseline.names, baseline.psnr_values, trained.psnr_values):

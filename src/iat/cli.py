@@ -181,7 +181,7 @@ def cmd_synthesize(args) -> int:
         sidecar = {
             "clean": src.name,
             "profile": args.profile,
-            "degradation": json.loads(dp.to_json()),
+            "degradation": dp.to_dict(),
         }
         with atomic_open(out_dir / f"params_{stem}.json") as fh:
             fh.write(json.dumps(sidecar, indent=2))
@@ -190,7 +190,7 @@ def cmd_synthesize(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pair discovery (shared by train and eval)
+# pair discovery and scoring (shared by train and eval)
 
 
 def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
@@ -227,6 +227,15 @@ def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
                 f"loss=mixed_raw needs raw_*.npy next to each pair; missing for: {missing[:5]}"
             )
     return samples
+
+
+def evaluate(params, samples: list[Sample]) -> MetricReport:
+    """PSNR and SSIM of the model's output for each sample against its target."""
+    report = MetricReport.empty()
+    for s in samples:
+        out, _ = iat_forward(image_to_tensor(s.input), params)
+        report.add(s.name, tensor_to_image(out), s.target)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +276,7 @@ def cmd_train(args) -> int:
     csv_path = args.metrics_csv or f"{args.out}.csv"
     write_metrics_csv(rows, csv_path)
 
-    report = MetricReport.empty()
-    for s in samples:
-        out, _ = iat_forward(image_to_tensor(s.input), params)
-        report.add(s.name, tensor_to_image(out), s.target)
+    report = evaluate(params, samples)
     print(f"final val PSNR {report.mean_psnr:.2f} dB, SSIM {report.mean_ssim:.4f}")
     print(f"checkpoint: {args.out}  metrics: {csv_path}")
     return EXIT_OK
@@ -285,11 +291,9 @@ def cmd_eval(args) -> int:
     samples = discover_pairs(args.pairs)
     if not samples:
         raise UsageError(f"no input_*/target_* pairs found in {args.pairs}")
-    report = MetricReport.empty()
-    for s in samples:
-        out, _ = iat_forward(image_to_tensor(s.input), params)
-        report.add(s.name, tensor_to_image(out), s.target)
-        print(f"{s.name}: psnr {report.psnr_values[-1]:.2f} ssim {report.ssim_values[-1]:.4f}")
+    report = evaluate(params, samples)
+    for name, p_, s_ in zip(report.names, report.psnr_values, report.ssim_values):
+        print(f"{name}: psnr {p_:.2f} ssim {s_:.4f}")
     print(f"mean: psnr {report.mean_psnr:.2f} ssim {report.mean_ssim:.4f}")
     if args.csv:
         with atomic_open(args.csv) as fh:

@@ -41,14 +41,6 @@ class ImageRGB:
             raise ShapeError(f"ImageRGB needs (H, W, 3) pixels, got {px.shape}")
         self.pixels = px
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def quantize(values: np.ndarray) -> np.ndarray:
     """Clamp to [0,1] and map to bytes with round-half-up (deterministic).

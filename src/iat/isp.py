@@ -11,7 +11,6 @@ unwind the color pipeline to a pseudo-raw image, add sensor noise, then
 re-render through white balance, color matrix and an output gamma.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +49,6 @@ class GlobalParams:
             raise ShapeError(f"gamma must be scalar, got shape {self.gamma.shape}")
 
     @classmethod
-    def identity(cls) -> "GlobalParams":
-        return cls(Tensor(np.eye(3, dtype=np.float32)), Tensor(1.0))
-
-    @classmethod
     def from_values(cls, matrix, gamma: float) -> "GlobalParams":
         return cls(Tensor(np.asarray(matrix, dtype=np.float64)), Tensor(float(gamma)))
 
@@ -86,28 +81,15 @@ class DegradationParams:
         if abs(np.linalg.det(self.ccm)) < 1e-6:
             raise ConfigurationError("ccm is numerically singular")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "wb_gains": self.wb_gains.tolist(),
-                "ccm": self.ccm.tolist(),
-                "gamma_d": self.gamma_d,
-                "exposure": self.exposure,
-                "noise_sigma": self.noise_sigma,
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DegradationParams":
-        d = json.loads(text)
-        return cls(
-            wb_gains=np.asarray(d["wb_gains"]),
-            ccm=np.asarray(d["ccm"]),
-            gamma_d=float(d["gamma_d"]),
-            exposure=float(d["exposure"]),
-            noise_sigma=float(d["noise_sigma"]),
-        )
+    def to_dict(self) -> dict:
+        """Plain JSON-ready values; `DegradationParams(**d)` rebuilds them."""
+        return {
+            "wb_gains": self.wb_gains.tolist(),
+            "ccm": self.ccm.tolist(),
+            "gamma_d": self.gamma_d,
+            "exposure": self.exposure,
+            "noise_sigma": self.noise_sigma,
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -143,10 +143,10 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     encoder conv's output size comes from its stride and kernel. The
     prediction module's matmuls cost their weight sizes per key/value pixel
     or per query token. Left out: the O(C^3) matmuls that fold each block's
-    norms and layer scales into its convs (`pem_forward`; no per-pixel
-    cost) and the 9 MACs per pixel of the color-matrix product in
-    `compose_iat`. The published counting convention is unknown, so this
-    estimator documents its own.
+    norms and layer scales into its convs (`pem_stack`; no per-pixel cost)
+    and the 9 MACs per pixel of the color-matrix product in `compose_iat`.
+    The published counting convention is unknown, so this estimator
+    documents its own; `estimate_flops` is its "total".
     """
     if height < 4 or width < 4:
         raise InputError(f"resolution {height}x{width} below the 4x4 minimum")
@@ -174,8 +174,7 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     return {"local": local_g, "global": global_g, "total": local_g + global_g}
 
 
-def estimate_flops(p: IATParams | IATConfig, height: int, width: int) -> float:
-    config = p.config if isinstance(p, IATParams) else p
+def estimate_flops(config: IATConfig, height: int, width: int) -> float:
     return estimate_flops_detail(config, height, width)["total"]
 
 
@@ -232,10 +231,12 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
     try:
         header = json.loads(buf[12:header_end].decode("utf-8"))
         config = IATConfig.from_dict(header["config"])
-        step = int(header.get("step", 0))
+        step = header.get("step", 0)
         entries = header["tensors"]
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"{path}: malformed checkpoint header: {e}") from None
+    if type(step) is not int or step < 0:
+        raise FormatError(f"{path}: step must be a non-negative integer, got {step!r}")
     if not isinstance(entries, list):
         raise FormatError(f"{path}: tensor directory is not a list: {entries!r}")
 

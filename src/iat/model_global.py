@@ -116,7 +116,7 @@ def cross_attention(queries: Tensor, feats: Tensor, p: GpmParams) -> Tensor:
     k = matmul(kv, p.w_k)
     v = matmul(kv, p.w_v)
     scores = matmul(queries, permute(k, (1, 0))) * (1.0 / math.sqrt(d))
-    attn = softmax(scores, axis=1)  # rows over the HW positions
+    attn = softmax(scores)  # rows over the HW positions
     return matmul(matmul(attn, v), p.w_out) + queries
 
 

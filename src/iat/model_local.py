@@ -148,8 +148,9 @@ def pem_init(channels: int, rng, dtype=np.float32) -> PemParams:
     )
 
 
-def pem_forward(x: Tensor, p: PemParams) -> Tensor:
-    """Positional encoding, spatial sub-block, channel sub-block, all residual:
+def pem_stack(x: Tensor, blocks: list[PemParams]) -> Tensor:
+    """Each pixel-wise enhancement block in turn: positional encoding,
+    spatial sub-block, channel sub-block, all residual:
 
         u = x + pos_dw(x)
         v = u + k_spatial * pw2(gelu(dw(gelu(pw1(norm1(u))))))
@@ -159,13 +160,7 @@ def pem_forward(x: Tensor, p: PemParams) -> Tensor:
     re-parameterization, on the tape): the residual is +1 on pos_dw's centre
     tap, each norm is composed into the 1x1 after it (`fold_norm`), and each
     layer scale into the 1x1 before it (`fold_scale`). A plane then passes
-    through 6 convs, 3 GELUs and 2 adds. This is `pem_stack` of one block.
-    """
-    return pem_stack(x, [p])
-
-
-def pem_stack(x: Tensor, blocks: list[PemParams]) -> Tensor:
-    """`pem_forward` through each block in turn.
+    through 6 convs, 3 GELUs and 2 adds per block.
 
     One name carries the plane from op to op, so an untaped forward frees
     each plane as soon as its last reader has run: a block's input once
@@ -175,7 +170,7 @@ def pem_stack(x: Tensor, blocks: list[PemParams]) -> Tensor:
     for p in blocks:
         c = p.scale.k_spatial.shape[0]
         if x.ndim != 4 or x.shape[1] != c:
-            raise ShapeError(f"pem_forward expects (1, {c}, H, W), got {x.shape}")
+            raise ShapeError(f"pem_stack expects (1, {c}, H, W), got {x.shape}")
         w = p.pos_dw.weight
         centre = np.zeros(w.shape, dtype=w.dtype)
         centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1

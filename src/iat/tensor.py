@@ -88,9 +88,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
     # arithmetic sugar; scalars lift to constants of the same dtype
     def _lift(self, other) -> "Tensor":
         if isinstance(other, Tensor):
@@ -99,9 +96,6 @@ class Tensor:
 
     def __add__(self, other):
         return elementwise(self, self._lift(other), "add")
-
-    def __radd__(self, other):
-        return elementwise(self._lift(other), self, "add")
 
     def __sub__(self, other):
         return elementwise(self, self._lift(other), "sub")
@@ -115,20 +109,11 @@ class Tensor:
     def __rmul__(self, other):
         return elementwise(self._lift(other), self, "mul")
 
-    def __neg__(self):
-        return elementwise(self, self._lift(-1.0), "mul")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def sum(self):
         return reduce(self, "sum")
 
     def mean(self):
         return reduce(self, "mean")
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -388,14 +373,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     # the whole padded plane, with enough zero rows for the last tap's window
     rows = max(h + 2 * padding, rows_read(ho))
-    band = _strip_rows(cin, cout, wp)
+    band = min(_strip_rows(cin, cout, wp), ho)
     if (rows, padding) == (h, 0):  # the taps read x itself
         plane = xd.reshape(cin, h * wdt)
-    elif band >= ho:  # one strip: pad the whole plane, which the rule reuses
-        buf = np.zeros((cin, rows, wp), dtype=xd.dtype)
-        _pad_rows(xd, buf, 0, padding)
-        plane = buf.reshape(cin, rows * wp)
-    else:  # a strip's rows, padded into one reused buffer per strip
+    else:  # a strip's rows, padded into one reused zero-bordered buffer
         buf = np.zeros((cin, rows_read(band), wp), dtype=xd.dtype)
         plane = None
 
@@ -410,7 +391,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     data = np.empty((1, cout, ho, wo), dtype=dtype)
     direct = wo == wp  # no junk columns: accumulate in the output
-    acc = np.empty(cout * min(band, ho) * wp, dtype=dtype)
+    acc = np.empty(cout * band * wp, dtype=dtype)
     tmp = np.empty_like(acc)
     for y0 in range(0, ho, band):
         y1 = min(y0 + band, ho)
@@ -437,6 +418,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         else:
             valid = a.reshape(cout, y1 - y0, wp)[:, :, :wo]
             np.add(valid, bias.data[:, None, None], out=out)
+    if band == ho:  # one strip padded the whole plane: the rule reuses it
+        plane = src
 
     def rule(g):
         g = g[0]
@@ -600,16 +583,14 @@ def softplus(x: Tensor) -> Tensor:
     return _emit(data, (x,), rule)
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-subtracted softmax along `axis`."""
-    if not -x.ndim <= axis < x.ndim:
-        raise ConfigurationError(f"axis {axis} out of range for shape {x.shape}")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Max-subtracted softmax over the last axis (each row of a score matrix)."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def rule(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
+        dot = (g * data).sum(axis=-1, keepdims=True)
         _accumulate(x, (g - dot) * data)
 
     return _emit(data, (x,), rule)

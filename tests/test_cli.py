@@ -262,6 +262,7 @@ def test_train_mixed_raw_without_raw_files(clean_dir, tmp_path, capsys):
         (["--eval-every", "0"], "eval_every"),
         (["--lr0", "nan"], "lr0"),
         (["--seed", "-1"], "seed"),
+        (["--weight-decay", "-0.5"], "weight_decay"),
     ],
 )
 def test_train_bad_flag_value_is_usage_error(tmp_path, capsys, flags, key):
@@ -415,6 +416,14 @@ def test_info_malformed_tensor_directory(identity_ckpt, capsys):
     rewrite_header(identity_ckpt, lambda header: header["tensors"][0].pop("offset"))
     assert main(["info", "--checkpoint", str(identity_ckpt)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_info_negative_checkpoint_step(identity_ckpt, capsys):
+    rewrite_header(identity_ckpt, lambda header: header.update(step=-4))
+    assert main(["info", "--checkpoint", str(identity_ckpt)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "step" in captured.err
 
 
 @pytest.mark.parametrize("key,value", [("channels", 0), ("blocks", 0), ("d", 7)])

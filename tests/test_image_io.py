@@ -111,7 +111,7 @@ def test_ppm_comment_and_whitespace(tmp_path):
     p = tmp_path / "c.ppm"
     p.write_bytes(b"P6 # comment\n# another\n 2\t2 \n255\n" + body)
     img = load_image(p)
-    assert img.width == 2 and img.height == 2
+    assert img.pixels.shape == (2, 2, 3)
     np.testing.assert_array_equal(quantize(img.pixels).reshape(-1), np.frombuffer(body, np.uint8))
 
 

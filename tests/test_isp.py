@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_color_matrix_shape_error():
 def test_apply_global_identity():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(1e-6, 1.0, (1, 3, 5, 5)).astype(np.float32))
-    out = apply_global(x, GlobalParams.identity())
+    out = apply_global(x, GlobalParams.from_values(np.eye(3), 1.0))
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
 
@@ -110,7 +112,7 @@ def test_compose_identity_and_doubling():
     x = Tensor(rng.uniform(1e-6, 1.0, (1, 3, 4, 4)).astype(np.float32))
     ones = Tensor(np.ones_like(x.data))
     zeros = Tensor(np.zeros_like(x.data))
-    out, _ = compose_iat(x, ones, zeros, GlobalParams.identity())
+    out, _ = compose_iat(x, ones, zeros, GlobalParams.from_values(np.eye(3), 1.0))
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
     quarter = Tensor(np.full((1, 3, 2, 2), 0.25, dtype=np.float32))
@@ -118,7 +120,7 @@ def test_compose_identity_and_doubling():
         quarter,
         Tensor(np.full((1, 3, 2, 2), 2.0, dtype=np.float32)),
         Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32)),
-        GlobalParams.identity(),
+        GlobalParams.from_values(np.eye(3), 1.0),
     )
     np.testing.assert_allclose(out.data, 0.5, rtol=1e-6)
 
@@ -141,7 +143,7 @@ def test_compose_matches_scalar_oracle():
 def test_compose_shape_mismatch():
     x = Tensor(np.zeros((1, 3, 2, 2)))
     with pytest.raises(ShapeError):
-        compose_iat(x, Tensor(np.zeros((1, 3, 2, 3))), x, GlobalParams.identity())
+        compose_iat(x, Tensor(np.zeros((1, 3, 2, 3))), x, GlobalParams.from_values(np.eye(3), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def test_unknown_profile():
 
 def test_degradation_params_json_roundtrip():
     dp = sample_degradation(philox(4), "mixed")
-    back = DegradationParams.from_json(dp.to_json())
+    back = DegradationParams(**json.loads(json.dumps(dp.to_dict())))
     np.testing.assert_array_equal(back.wb_gains, dp.wb_gains)
     np.testing.assert_array_equal(back.ccm, dp.ccm)
     assert back.exposure == dp.exposure

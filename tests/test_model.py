@@ -122,7 +122,7 @@ def test_param_count_monotone_in_channels():
 
 
 def test_flops_default_band():
-    gf = estimate_flops(iat_init(rng=philox(10)), 400, 600)
+    gf = estimate_flops(IATConfig(), 400, 600)
     assert 0.5 <= gf <= 3.0, gf
 
 
@@ -287,6 +287,15 @@ def test_checkpoint_model_size_out_of_range(tmp_path, key, value):
     save_checkpoint(iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(33)), path)
     rewrite_header(path, lambda h: h["config"].update({key: value}))
     with pytest.raises(FormatError, match="model.iatc"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [2.5, -4, True, "7"])
+def test_checkpoint_step_must_be_nonnegative_int(tmp_path, value):
+    path = tmp_path / "model.iatc"
+    save_checkpoint(iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(34)), path)
+    rewrite_header(path, lambda h: h.update(step=value))
+    with pytest.raises(FormatError, match="step"):
         load_checkpoint(path)
 
 

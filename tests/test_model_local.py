@@ -16,8 +16,8 @@ from iat.model_local import (
     fold_norm,
     local_branch_forward,
     local_branch_init,
-    pem_forward,
     pem_init,
+    pem_stack,
 )
 from iat.rng import philox
 from iat.tensor import Tape, Tensor, conv2d, gelu, matmul, relu, reshape, tanh
@@ -84,8 +84,8 @@ def test_fold_norm_matches_per_pixel_oracle():
 
 def test_pem_channel_mismatch():
     x = Tensor(np.zeros((1, 4, 2, 2), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        pem_forward(x, pem_init(8, philox(0)))
+    with pytest.raises(ShapeError, match="pem_stack"):
+        pem_stack(x, [pem_init(8, philox(0))])
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_pem_zero_convs_is_identity():
         if name.endswith("weight") or name.endswith("bias"):
             t.data = np.zeros_like(t.data)
     x = Tensor(np.random.default_rng(2).standard_normal((1, 8, 4, 6)).astype(np.float32))
-    out = pem_forward(x, p)
+    out = pem_stack(x, [p])
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -137,7 +137,7 @@ def test_pem_forward_matches_reference(hw):
     p = perturbed_pem(16, 12)
     x = Tensor(np.random.default_rng(13).standard_normal((1, 16) + hw).astype(np.float32))
     np.testing.assert_allclose(
-        pem_forward(x, p).data, pem_forward_reference(x, p).data, rtol=1e-5, atol=1e-5
+        pem_stack(x, [p]).data, pem_forward_reference(x, p).data, rtol=1e-5, atol=1e-5
     )
 
 
@@ -158,7 +158,7 @@ def test_pem_gradients_match_reference(dtype, tol):
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((1, 16, 9, 11)), requires_grad=True, dtype=dtype)
     r = rng.standard_normal((1, 16, 9, 11)).astype(dtype)
-    folded = pem_grads(pem_forward, p, x, r)
+    folded = pem_grads(lambda x, p: pem_stack(x, [p]), p, x, r)
     reference = pem_grads(pem_forward_reference, p, x, r)
     for (name, got), (_, want) in zip(folded, reference):
         assert got.dtype == want.dtype == dtype, name
@@ -172,7 +172,7 @@ def test_pem_plane_op_budget():
     p = pem_init(8, philox(16))
     x = Tensor(np.random.default_rng(17).standard_normal((1, 8, 16, 20)).astype(np.float32))
     with Tape() as tape:
-        pem_forward(x, p)
+        pem_stack(x, [p])
         plane_ops = sum(out.shape == x.shape for out, _ in tape._ops)
     assert plane_ops == 11  # 6 convs, 3 GELUs, 2 adds
 
@@ -182,7 +182,7 @@ def test_pem_preserves_arbitrary_resolution(hw):
     h, w = hw
     p = pem_init(4, philox(1))
     x = Tensor(np.random.default_rng(3).standard_normal((1, 4, h, w)).astype(np.float32))
-    out = pem_forward(x, p)
+    out = pem_stack(x, [p])
     assert out.shape == (1, 4, h, w)
 
 
@@ -195,7 +195,7 @@ def test_pem_gradients_match_fd():
     names, tensors = zip(*named_parameters(p))
 
     def fwd():
-        return pem_forward(x, p).sum()
+        return pem_stack(x, [p]).sum()
 
     with Tape() as tape:
         tape.backward(fwd())
@@ -209,16 +209,16 @@ def test_pem_gradients_match_fd():
 
 
 def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMaps:
-    """Both stacks first, then both heads, one `pem_forward` call per block:
+    """Both stacks first, then both heads, one `pem_stack` call per block:
     every block's input and the gain features stay alive to the end."""
     stem_out = p.stem(img)
     feat_gain = stem_out
     for blk in p.gain_blocks:
-        feat_gain = pem_forward(feat_gain, blk)
+        feat_gain = pem_stack(feat_gain, [blk])
     feat_gain = feat_gain + stem_out
     feat_offset = stem_out
     for blk in p.offset_blocks:
-        feat_offset = pem_forward(feat_offset, blk)
+        feat_offset = pem_stack(feat_offset, [blk])
     feat_offset = feat_offset + stem_out
     return LocalMaps(
         gain=relu(p.gain_head(feat_gain)),

@@ -525,15 +525,15 @@ def test_softplus_stable_and_grad():
 
 
 def test_softmax_uniform_and_stability():
-    out = softmax(Tensor([1.0, 1.0, 1.0, 1.0]), axis=0)
+    out = softmax(Tensor([1.0, 1.0, 1.0, 1.0]))
     np.testing.assert_allclose(out.data, [0.25] * 4)
-    out = softmax(Tensor([1000.0, 1000.0]), axis=0)
+    out = softmax(Tensor([1000.0, 1000.0]))
     np.testing.assert_allclose(out.data, [0.5, 0.5])
 
 
 def test_softmax_rows_sum_to_one():
     x = Tensor(RNG.standard_normal((5, 7)).astype(np.float32))
-    out = softmax(x, axis=1)
+    out = softmax(x)
     np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-6)
     assert (out.data > 0).all()
 
@@ -543,7 +543,7 @@ def test_softmax_gradients_match_fd():
     c = np.arange(12, dtype=np.float64).reshape(3, 4)  # break symmetry
 
     def fwd():
-        return (softmax(x, axis=1) * Tensor(c)).sum()
+        return (softmax(x) * Tensor(c)).sum()
 
     with Tape() as tape:
         tape.backward(fwd())

@@ -145,6 +145,8 @@ def test_default_lambda_is_tenth():
         ("weight_decay", float("nan")),
         ("lambda_raw", float("inf")),
         ("w_percep", float("nan")),
+        ("w_percep", -1.0),
+        ("weight_decay", -0.5),
         ("seed", -1),
         ("seed", -(2**40)),
     ],
