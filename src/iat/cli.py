@@ -26,7 +26,7 @@ from .errors import (
 from .fileio import atomic_open
 from .image_io import image_to_tensor, load_image, save_image, tensor_to_image
 from .isp import PROFILES, degrade, sample_degradation
-from .metrics import MetricReport
+from .metrics import SSIM_WINDOW, MetricReport
 from .model import (
     IATConfig,
     count_params,
@@ -255,6 +255,10 @@ def cmd_train(args) -> int:
     samples = discover_pairs(args.data, want_raw=cfg.loss == "mixed_raw")
     if not samples:
         raise UsageError(f"no input_*/target_* pairs found in {args.data}")
+    # the closing report scores every pair, so refuse the unscorable before training
+    small = [s.name for s in samples if min(s.input.pixels.shape[:2]) < SSIM_WINDOW]
+    if small:
+        raise InputError(f"pairs below the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window: {small[:5]}")
 
     model_cfg = _from_keys(IATConfig, file_cfg)
     params = None

@@ -5,7 +5,8 @@ images so CSV aggregation never sees infinities. SSIM is the standard
 single-scale form: 11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03,
 computed per channel over valid window positions and averaged. Numbers are
 comparable run-to-run; cross-implementation SSIM comparisons are always
-approximate since windowing choices differ in the wild.
+approximate since windowing choices differ in the wild. An image that
+holds a NaN or an inf has neither metric: both raise InputError.
 """
 
 import math
@@ -18,7 +19,7 @@ from .errors import InputError, ShapeError
 from .image_io import ImageRGB
 
 PSNR_CAP = 99.0
-_WIN = 11
+SSIM_WINDOW = 11  # SSIM's window side: images below it have no SSIM
 _SIGMA = 1.5
 _K1, _K2 = 0.01, 0.03
 
@@ -26,6 +27,9 @@ _K1, _K2 = 0.01, 0.03
 def _check_pair(a: ImageRGB, b: ImageRGB):
     if a.pixels.shape != b.pixels.shape:
         raise ShapeError(f"image sizes differ: {a.pixels.shape} vs {b.pixels.shape}")
+    for img in (a, b):  # min(cap, nan) is the cap: a NaN would score as a perfect match
+        if not np.isfinite(img.pixels).all():
+            raise InputError("pixel values are not finite: the image has no PSNR or SSIM")
 
 
 def psnr(a: ImageRGB, b: ImageRGB) -> float:
@@ -39,8 +43,8 @@ def psnr(a: ImageRGB, b: ImageRGB) -> float:
 
 
 def _gaussian_kernel() -> np.ndarray:
-    half = (_WIN - 1) / 2.0
-    x = np.arange(_WIN, dtype=np.float64) - half
+    half = (SSIM_WINDOW - 1) / 2.0
+    x = np.arange(SSIM_WINDOW, dtype=np.float64) - half
     k = np.exp(-(x * x) / (2.0 * _SIGMA * _SIGMA))
     return k / k.sum()
 
@@ -50,16 +54,16 @@ _KERNEL = _gaussian_kernel()
 
 def _filter_valid(img: np.ndarray) -> np.ndarray:
     """Separable Gaussian filtering, valid positions only. img is (H, W)."""
-    rows = sliding_window_view(img, _WIN, axis=0) @ _KERNEL  # (H-10, W)
-    return sliding_window_view(rows, _WIN, axis=1) @ _KERNEL  # (H-10, W-10)
+    rows = sliding_window_view(img, SSIM_WINDOW, axis=0) @ _KERNEL  # (H-10, W)
+    return sliding_window_view(rows, SSIM_WINDOW, axis=1) @ _KERNEL  # (H-10, W-10)
 
 
 def ssim(a: ImageRGB, b: ImageRGB) -> float:
     """Mean structural similarity over channels and valid window positions."""
     _check_pair(a, b)
     h, w = a.pixels.shape[:2]
-    if min(h, w) < _WIN:
-        raise InputError(f"image {h}x{w} smaller than the {_WIN}x{_WIN} SSIM window")
+    if min(h, w) < SSIM_WINDOW:
+        raise InputError(f"image {h}x{w} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window")
     c1 = _K1 * _K1  # dynamic range is 1.0
     c2 = _K2 * _K2
     values = []

@@ -20,6 +20,7 @@ from .errors import ConfigurationError, CorruptionError, FormatError, InputError
 from .fileio import atomic_open
 from .isp import compose_iat
 from .model_global import (
+    MIN_SIZE,
     EncoderParams,
     GpmParams,
     encoder_forward,
@@ -35,21 +36,18 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class IATConfig:
+    """The model's sizes, checked here and nowhere else (a bool or 8.0 is not an int)."""
+
     channels: int = 16  # PEM width
     blocks: int = 3  # PEMs per local stack
     d: int = 80  # attention width
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        """Sizes from a mapping; each must be an int (a bool or 8.0 is not)."""
-        sizes = {f.name: d[f.name] for f in dataclasses.fields(cls)}
-        for key, v in sizes.items():
-            if type(v) is not int:
-                raise TypeError(f"model size {key!r} must be an integer, got {v!r}")
-        return cls(**sizes)
+    def __post_init__(self):
+        for key, low, even in (("channels", 1, False), ("blocks", 1, False), ("d", 8, True)):
+            v = getattr(self, key)
+            if type(v) is not int or v < low or (even and v % 2):
+                kind = "an even integer" if even else "an integer"
+                raise ConfigurationError(f"model size {key!r} must be {kind} >= {low}, got {v!r}")
 
 
 @dataclass
@@ -57,17 +55,23 @@ class IATParams:
     local: LocalBranchParams
     encoder: EncoderParams
     gpm: GpmParams
-    config: IATConfig
+
+    @property
+    def config(self) -> IATConfig:
+        """The sizes the tree holds: stem width, blocks per stack, query width."""
+        return IATConfig(
+            channels=self.local.stem.weight.shape[0],
+            blocks=len(self.local.gain_blocks),
+            d=self.gpm.queries.shape[1],
+        )
 
 
-def iat_init(config: IATConfig | None = None, rng=None, dtype=np.float32) -> IATParams:
-    if config is None:
-        config = IATConfig()
+def iat_init(config: IATConfig = IATConfig(), rng=None, dtype=np.float32) -> IATParams:
     if rng is None:
         rng = np.random.default_rng(0)
     local = local_branch_init(config.channels, config.blocks, rng, dtype)
     encoder, gpm = global_branch_init(config.d, rng, dtype)
-    return IATParams(local=local, encoder=encoder, gpm=gpm, config=config)
+    return IATParams(local=local, encoder=encoder, gpm=gpm)
 
 
 def iat_forward(img: Tensor, p: IATParams) -> tuple[Tensor, Tensor]:
@@ -148,8 +152,8 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     The published counting convention is unknown, so this estimator
     documents its own; `estimate_flops` is its "total".
     """
-    if height < 4 or width < 4:
-        raise InputError(f"resolution {height}x{width} below the 4x4 minimum")
+    if height < MIN_SIZE or width < MIN_SIZE:
+        raise InputError(f"resolution {height}x{width} below the {MIN_SIZE}x{MIN_SIZE} minimum")
     p = _size_tree(config)
     local_macs = height * width * sum(c.weight.size for c in conv_layers(p.local))
     enc_macs = 0
@@ -197,7 +201,7 @@ def save_checkpoint(p: IATParams, path, step: int = 0) -> None:
         )
         payload.extend(blob)
     header = json.dumps(
-        {"config": p.config.to_dict(), "step": int(step), "tensors": entries}
+        {"config": dataclasses.asdict(p.config), "step": int(step), "tensors": entries}
     ).encode("utf-8")
     body = (
         CHECKPOINT_MAGIC
@@ -230,7 +234,8 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
         raise CorruptionError(f"{path}: truncated header")
     try:
         header = json.loads(buf[12:header_end].decode("utf-8"))
-        config = IATConfig.from_dict(header["config"])
+        sizes = header["config"]
+        config = IATConfig(**{f.name: sizes[f.name] for f in dataclasses.fields(IATConfig)})
         step = header.get("step", 0)
         entries = header["tensors"]
     except (ValueError, KeyError, TypeError) as e:
@@ -240,10 +245,7 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
     if not isinstance(entries, list):
         raise FormatError(f"{path}: tensor directory is not a list: {entries!r}")
 
-    try:
-        params = iat_init(config, rng=np.random.default_rng(0))
-    except ConfigurationError as e:
-        raise FormatError(f"{path}: model sizes out of range: {e}") from None
+    params = iat_init(config)
     expected = dict(named_parameters(params))
     seen = set()
     payload = buf[header_end:-4]

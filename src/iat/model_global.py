@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import InputError
 from .isp import GlobalParams
 from .model_local import Conv2d, kaiming_conv
 from .tensor import (
@@ -31,6 +31,7 @@ from .tensor import (
 )
 
 NUM_QUERIES = 10  # 9 color-matrix slots + 1 gamma slot
+MIN_SIZE = 4  # smallest image side the two stride-2 encoder convs take
 
 
 @dataclass
@@ -61,12 +62,8 @@ def _linear_init(rng, fan_in, fan_out, dtype):
     return Tensor(rng.uniform(-bound, bound, (fan_in, fan_out)), requires_grad=True, dtype=dtype)
 
 
-def global_branch_init(d: int = 80, rng=None, dtype=np.float32):
+def global_branch_init(d: int, rng, dtype=np.float32):
     """Encoder + prediction module; queries and decoding heads start at zero."""
-    if d < 8 or d % 2:
-        raise ConfigurationError(f"attention width must be even and >= 8, got {d}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     encoder = EncoderParams(
         conv1=kaiming_conv(rng, d // 2, 3, 3, dtype, stride=2),
         conv2=kaiming_conv(rng, d, d // 2, 3, dtype, stride=2),
@@ -94,12 +91,12 @@ def global_branch_init(d: int = 80, rng=None, dtype=np.float32):
 
 
 def encoder_forward(img: Tensor, p: EncoderParams) -> Tensor:
-    """(1, 3, H, W) -> (1, d, ceil(H/4), ceil(W/4)); needs H, W >= 4."""
+    """(1, 3, H, W) -> (1, d, ceil(H/4), ceil(W/4)); needs H, W >= MIN_SIZE."""
     if img.ndim != 4 or img.shape[1] != 3:
         raise InputError(f"encoder expects (1, 3, H, W), got {img.shape}")
     _, _, h, w = img.shape
-    if h < 4 or w < 4:
-        raise InputError(f"image {h}x{w} is smaller than the 4x4 encoder minimum")
+    if h < MIN_SIZE or w < MIN_SIZE:
+        raise InputError(f"image {h}x{w} is smaller than the {MIN_SIZE}x{MIN_SIZE} encoder minimum")
     return gelu(p.conv2(gelu(p.conv1(img))))
 
 

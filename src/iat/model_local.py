@@ -11,11 +11,11 @@ and layer scales at 1e-2.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ShapeError
 from .tensor import Tensor, conv2d, gelu, matmul, relu, reshape, tanh
 
 LAYER_SCALE_INIT = 1e-2
@@ -195,22 +195,14 @@ class LocalMaps:
 @dataclass
 class LocalBranchParams:
     stem: Conv2d  # 3x3, 3 -> C
-    gain_blocks: list[PemParams] = field(default_factory=list)
-    offset_blocks: list[PemParams] = field(default_factory=list)
-    gain_head: Conv2d = None  # 3x3, C -> 3, + ReLU
-    offset_head: Conv2d = None  # 3x3, C -> 3, + tanh
+    gain_blocks: list[PemParams]
+    offset_blocks: list[PemParams]
+    gain_head: Conv2d  # 3x3, C -> 3, + ReLU
+    offset_head: Conv2d  # 3x3, C -> 3, + tanh
 
 
-def local_branch_init(
-    channels: int = 16, blocks: int = 3, rng=None, dtype=np.float32
-) -> LocalBranchParams:
+def local_branch_init(channels: int, blocks: int, rng, dtype=np.float32) -> LocalBranchParams:
     """Random stem/blocks; heads pinned so the branch is the identity map."""
-    if channels < 1 or blocks < 1:
-        raise ConfigurationError(
-            f"need channels >= 1 and blocks >= 1, got channels={channels}, blocks={blocks}"
-        )
-    if rng is None:
-        rng = np.random.default_rng(0)
     gain_head = Conv2d(
         weight=Tensor(np.zeros((3, channels, 3, 3)), requires_grad=True, dtype=dtype),
         bias=Tensor(np.ones(3), requires_grad=True, dtype=dtype),

@@ -263,7 +263,7 @@ def train_loop(
     samples: list[Sample],
     cfg: TrainConfig,
     params: IATParams | None = None,
-    config: IATConfig | None = None,
+    config: IATConfig = IATConfig(),
     start_step: int = 0,
 ) -> tuple[IATParams, list[LogRow]]:
     """Shuffled minibatches of random crops/flips; returns best-PSNR params.

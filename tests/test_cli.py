@@ -315,6 +315,27 @@ def test_train_resume_continues_step_counter(clean_dir, tmp_path):
     assert step == 6
 
 
+def test_train_refuses_pairs_below_ssim_window(tmp_path, capsys):
+    # 9x9 pairs crop to 8 and train, but the closing report has no SSIM for them
+    clean = tmp_path / "clean9"
+    clean.mkdir()
+    rng = np.random.default_rng(1)
+    save_image(ImageRGB(rng.uniform(0.2, 0.8, (9, 9, 3)).astype(np.float32)), clean / "c.png")
+    data = make_dataset(clean, tmp_path, count=2)
+    out = tmp_path / "m.iatc"
+    capsys.readouterr()
+    code = main([
+        "train", "--data", str(data), "--config", str(write_cfg(tmp_path)), "--out", str(out),
+        "--steps", "2", "--batch-size", "2", "--crop-size", "8",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pairs below the 11x11 SSIM window")
+    assert "input_00000.png" in err and "input_00001.png" in err
+    assert not out.exists()
+    assert not (tmp_path / "m.iatc.csv").exists()
+
+
 def test_train_determinism(clean_dir, tmp_path):
     data = make_dataset(clean_dir, tmp_path)
     cfg = write_cfg(tmp_path, steps=5, batch_size=2, crop_size=16, seed=9, lr0=1e-3)
@@ -351,6 +372,22 @@ def test_eval_targets_against_themselves(clean_dir, tmp_path, capsys):
     assert mean[0] == "mean"
     assert float(mean[1]) == pytest.approx(99.0)
     assert float(mean[2]) == pytest.approx(1.0, abs=1e-6)
+
+
+def test_eval_non_finite_output_is_an_error(clean_dir, tmp_path, capsys):
+    data = make_dataset(clean_dir, tmp_path)
+    params = iat_init(IATConfig(**SMALL), rng=philox(0))
+    params.local.offset_head.bias.data[:] = np.nan
+    ckpt = tmp_path / "nan.iatc"
+    save_checkpoint(params, ckpt)
+    csv = tmp_path / "eval.csv"
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(ckpt), "--pairs", str(data), "--csv", str(csv)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "psnr" not in captured.out
+    assert captured.err.startswith("error: ") and "not finite" in captured.err
+    assert not csv.exists()
 
 
 def test_eval_unpaired_files_skipped(clean_dir, identity_ckpt, tmp_path, capsys):

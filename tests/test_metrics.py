@@ -63,6 +63,17 @@ def test_ssim_rejects_small_images():
         ssim(img(rng.random((10, 30, 3))), img(rng.random((10, 30, 3))))
 
 
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_non_finite_image_has_no_score(metric, bad, side):
+    # min(99, nan) is 99, so a NaN output used to score as a perfect match
+    pair = [checkerboard(), checkerboard()]
+    pair[side].pixels[5, 7, 1] = bad
+    with pytest.raises(InputError, match="not finite"):
+        metric(*pair)
+
+
 def test_ssim_bounds():
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from iat.errors import CorruptionError, FormatError, InputError
+from iat.errors import ConfigurationError, CorruptionError, FormatError, InputError
 from iat.isp import CLAMP_EPS
 from iat.model import (
     IATConfig,
+    IATParams,
     count_params,
     estimate_flops,
     estimate_flops_detail,
@@ -102,6 +105,36 @@ def test_forward_same_with_and_without_tape(h, w):
         taped, _ = iat_forward(img, p)
         assert len(tape) > 0
     np.testing.assert_array_equal(untaped.data, taped.data)
+
+
+# ---------------------------------------------------------------------------
+# model sizes
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("channels", 0),
+        ("channels", -1),
+        ("blocks", 0),
+        ("d", 6),
+        ("d", 7),
+        ("channels", 8.0),
+        ("blocks", True),
+        ("d", "16"),
+    ],
+)
+def test_config_rejects_bad_size(key, value):
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        IATConfig(**{key: value})
+
+
+def test_config_read_off_the_tree():
+    # the tree is the one record of the sizes: IATParams stores no copy
+    assert [f.name for f in dataclasses.fields(IATParams)] == ["local", "encoder", "gpm"]
+    for sizes in [(16, 3, 80), (8, 2, 16), (1, 1, 8), (24, 4, 40)]:  # (1, 1, 8): smallest legal
+        cfg = IATConfig(*sizes)
+        assert iat_init(cfg, rng=philox(0)).config == cfg
 
 
 # ---------------------------------------------------------------------------

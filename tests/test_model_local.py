@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iat.errors import ShapeError
-from iat.model import iat_forward, iat_init, named_parameters
+from iat.model import IATConfig, iat_forward, iat_init, named_parameters
 from iat.model_local import (
     Conv2d,
     LightNormParams,
@@ -23,6 +23,9 @@ from iat.rng import philox
 from iat.tensor import Tape, Tensor, conv2d, gelu, matmul, relu, reshape, tanh
 
 from fdcheck import assert_grads_close, numeric_grad
+
+
+DEFAULT = IATConfig()
 
 
 def to_tensor64(arr):
@@ -228,7 +231,7 @@ def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMa
 
 def perturbed_branch(seed) -> LocalBranchParams:
     """The default branch with N(0, 0.1) added to every parameter."""
-    p = local_branch_init(rng=philox(seed))
+    p = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(seed))
     rng = np.random.default_rng(seed)
     for _, t in named_parameters(p):
         t.data = (t.data + rng.normal(0, 0.1, t.shape)).astype(np.float32)
@@ -286,7 +289,7 @@ def test_forward_plane_budget():
 
 
 def test_identity_at_init_exact():
-    p = local_branch_init(rng=philox(5))
+    p = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(5))
     rng = np.random.default_rng(6)
     img = Tensor(rng.uniform(0, 1, (1, 3, 9, 11)).astype(np.float32))
     maps = local_branch_forward(img, p)
@@ -297,7 +300,7 @@ def test_identity_at_init_exact():
 
 
 def test_default_parameter_count_in_budget():
-    p = local_branch_init(rng=philox(7))
+    p = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(7))
     total = sum(t.size for _, t in named_parameters(p))
     assert 10_000 <= total <= 30_000, total
 
@@ -310,8 +313,8 @@ def test_ablation_configs_constructible():
 
 
 def test_same_seed_identical_parameters():
-    a = local_branch_init(rng=philox(9))
-    b = local_branch_init(rng=philox(9))
+    a = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(9))
+    b = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(9))
     for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb
         np.testing.assert_array_equal(ta.data, tb.data)
