@@ -119,10 +119,14 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 def cmd_enhance(args) -> int:
     _require_at_least("--threads", args.threads, 1)
-    params, _ = load_checkpoint(args.checkpoint)
     inputs = _list_images(Path(args.input))
     if not inputs:
         raise UsageError(f"no images found in {args.input}")
+    # a directory lists only image files; a single file's output keeps its
+    # name, whose suffix picks the encoder
+    if inputs[0].suffix.lower() not in IMAGE_SUFFIXES:
+        raise UsageError(f"--input {args.input} is not a {' or '.join(IMAGE_SUFFIXES)} file")
+    params, _ = load_checkpoint(args.checkpoint)
     out_dir = Path(args.output)
     # outputs keep their input's file name, so this directory would overwrite inputs
     if out_dir.resolve() in {p.parent.resolve() for p in inputs}:

@@ -79,10 +79,12 @@ def iat_forward(img: Tensor, p: IATParams) -> tuple[Tensor, Tensor]:
 
     Returns (out, f_out) where f_out = img * gain + offset is the local
     intermediate. The output is intentionally not clamped to [0, 1];
-    clamping happens only at image export.
+    clamping happens only at image export. The global branch runs first, so
+    its encoder planes are freed before the local branch allocates its
+    whole-image maps.
     """
-    maps = local_branch_forward(img, p.local)
     gp = gpm_forward(encoder_forward(img, p.encoder), p.gpm)
+    maps = local_branch_forward(img, p.local)
     return compose_iat(img, maps.gain, maps.offset, gp)
 
 

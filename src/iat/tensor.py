@@ -185,6 +185,11 @@ class Tape:
                 rule(g)
 
 
+def recording() -> bool:
+    """Whether a tape is recording on this thread."""
+    return getattr(_tls, "tape", None) is not None
+
+
 def _emit(data, inputs, rule) -> Tensor:
     """Wrap op output; record its backward rule if grads are being tracked."""
     out = Tensor.__new__(Tensor)

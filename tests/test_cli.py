@@ -180,6 +180,28 @@ def test_enhance_threads_match_single(clean_dir, identity_ckpt, tmp_path):
     assert tree_bytes(out1) == tree_bytes(out4)
 
 
+def test_enhance_single_input_needs_image_suffix(clean_dir, identity_ckpt, tmp_path, capsys):
+    # a valid PNG under another suffix is refused before the checkpoint is read
+    photo = tmp_path / "photo.bin"
+    photo.write_bytes((clean_dir / "clean_0.png").read_bytes())
+    code = main([
+        "enhance", "--checkpoint", str(tmp_path / "missing.iatc"), "--input", str(photo),
+        "--output", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --input")
+    assert not (tmp_path / "out").exists()
+    # the suffix check ignores case
+    upper = tmp_path / "photo.PNG"
+    upper.write_bytes(photo.read_bytes())
+    code = main([
+        "enhance", "--checkpoint", str(identity_ckpt), "--input", str(upper),
+        "--output", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert load_image(tmp_path / "out" / "photo.PNG").pixels.shape == (16, 16, 3)
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_enhance_threads_below_one_is_usage_error(
     clean_dir, identity_ckpt, tmp_path, capsys, threads

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iat.errors import ShapeError
-from iat.model import IATConfig, iat_forward, iat_init, named_parameters
+from iat import model_local
+from iat.model import (
+    IATConfig,
+    IATParams,
+    iat_forward,
+    iat_forward_local,
+    iat_init,
+    named_parameters,
+)
 from iat.model_local import (
     Conv2d,
     LightNormParams,
@@ -16,6 +24,7 @@ from iat.model_local import (
     fold_norm,
     local_branch_forward,
     local_branch_init,
+    local_halo,
     pem_init,
     pem_stack,
 )
@@ -229,9 +238,10 @@ def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMa
     )
 
 
-def perturbed_branch(seed) -> LocalBranchParams:
-    """The default branch with N(0, 0.1) added to every parameter."""
-    p = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(seed))
+def perturbed_model(seed) -> IATParams:
+    """The default model with N(0, 0.1) added to every parameter: no head is
+    the identity, so a band that read too few rows would show in the maps."""
+    p = iat_init(rng=philox(seed))
     rng = np.random.default_rng(seed)
     for _, t in named_parameters(p):
         t.data = (t.data + rng.normal(0, 0.1, t.shape)).astype(np.float32)
@@ -240,7 +250,7 @@ def perturbed_branch(seed) -> LocalBranchParams:
 
 @pytest.mark.parametrize("hw", [(37, 53), (400, 600)])
 def test_branch_forward_matches_reference_bits(hw):
-    p = perturbed_branch(20)
+    p = perturbed_model(20).local
     img = Tensor(np.random.default_rng(21).uniform(0, 1, (1, 3) + hw).astype(np.float32))
     got, want = local_branch_forward(img, p), local_branch_forward_reference(img, p)
     np.testing.assert_array_equal(got.gain.data, want.gain.data)
@@ -260,7 +270,7 @@ def branch_grads(forward, p, img, r_gain, r_offset):
 def test_branch_gradients_match_reference_bits():
     # stem_out's four gradient contributions arrive in the same order, so every
     # gradient is bit-identical, not merely close
-    p = perturbed_branch(22)
+    p = perturbed_model(22).local
     rng = np.random.default_rng(23)
     img = Tensor(rng.uniform(0, 1, (1, 3, 37, 53)), requires_grad=True, dtype=np.float32)
     r_gain = rng.standard_normal((1, 3, 37, 53)).astype(np.float32)
@@ -272,20 +282,102 @@ def test_branch_gradients_match_reference_bits():
 
 
 def test_forward_plane_budget():
-    # an untaped forward holds stem_out plus at most three 16-channel planes in
-    # flight (about 4.3 planes with the conv strips and the global branch);
-    # keeping block inputs or the gain features alive would reach about 7
-    h, w = 400, 600
+    # the untaped local branch runs in bands, so its 16-channel planes are
+    # band-sized: 1.86 planes at 400x600, mostly one band's. At 800x1200 the
+    # global encoder sets the peak, its first conv's output and GELU (20 H W
+    # floats) plus the image: 1.41 planes. Running the local branch first
+    # would add its whole-image maps there (1.78); one band reached 4.3, and
+    # keeping block inputs or gain features alive about 7
     p = iat_init(rng=philox(24))
-    img = Tensor(np.random.default_rng(25).uniform(0, 1, (1, 3, h, w)).astype(np.float32))
-    tracemalloc.start()
-    try:
-        iat_forward(img, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    plane = 16 * h * w * np.dtype(np.float32).itemsize
-    assert peak <= 5 * plane, peak / plane
+    for (h, w), planes in (((400, 600), 2.0), ((800, 1200), 1.6)):
+        img = Tensor(np.random.default_rng(25).uniform(0, 1, (1, 3, h, w)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            iat_forward(img, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = 16 * h * w * np.dtype(np.float32).itemsize
+        assert peak <= planes * plane, (h, w, peak / plane)
+
+
+# ---------------------------------------------------------------------------
+# row bands
+
+
+def forwards(p, img) -> list[np.ndarray]:
+    out, f_out = iat_forward(img, p)
+    return [out.data, f_out.data, iat_forward_local(img, p).data]
+
+
+def test_banded_forward_matches_one_band_at_band_edges(monkeypatch):
+    # 5-row bands with the 8-row halo: 4 to 6 rows are BAND_ROWS - 1 to + 1,
+    # 17 leaves a last band of 2 rows (shorter than the halo), 23 and 37 are odd
+    p = perturbed_model(31)
+    rows = 5
+    assert 2 * rows + local_halo(p.local) - 1 == 17
+    for h in (4, 5, 6, 17, 23, 37):
+        img = Tensor(np.random.default_rng(h).uniform(0, 1, (1, 3, h, 53)).astype(np.float32))
+        monkeypatch.setattr(model_local, "BAND_ROWS", h)
+        want = forwards(p, img)
+        monkeypatch.setattr(model_local, "BAND_ROWS", rows)
+        for got, ref in zip(forwards(p, img), want):
+            np.testing.assert_array_equal(got, ref, err_msg=f"height {h}")
+
+
+@pytest.mark.parametrize("hw", [(400, 600), (600, 400)])
+def test_banded_forward_matches_one_band(monkeypatch, hw):
+    # f_out = img * gain + offset, so it checks the local maps as well
+    p = perturbed_model(32)
+    img = Tensor(np.random.default_rng(33).uniform(0, 1, (1, 3) + hw).astype(np.float32))
+    assert hw[0] > model_local.BAND_ROWS
+    out, f_out = iat_forward(img, p)
+    monkeypatch.setattr(model_local, "BAND_ROWS", hw[0])
+    want_out, want_f = iat_forward(img, p)
+    np.testing.assert_array_equal(out.data, want_out.data)
+    np.testing.assert_array_equal(f_out.data, want_f.data)
+
+
+@pytest.mark.parametrize("blocks, halo", [(DEFAULT.blocks, 8), (2, 6)])
+def test_halo_is_the_receptive_field(blocks, halo):
+    # changing input row r changes map rows [r - halo, r + halo] and no other;
+    # float64 so that changes at the field's edge do not round away
+    p = local_branch_init(DEFAULT.channels, blocks, philox(34))
+    rng = np.random.default_rng(35)
+    for _, t in named_parameters(p):
+        t.data = t.data.astype(np.float64) + rng.normal(0, 0.3, t.shape)
+    assert local_halo(p) == halo
+    h, w, r = 40, 12, 19
+    a = rng.uniform(0, 1, (1, 3, h, w))
+    b = a.copy()
+    b[:, :, r] = rng.uniform(0, 1, (3, w))
+    ma, mb = (local_branch_forward(Tensor(x), p) for x in (a, b))
+    moved = (ma.gain.data != mb.gain.data) | (ma.offset.data != mb.offset.data)
+    rows = np.flatnonzero(moved.any(axis=(0, 1, 3)))
+    np.testing.assert_array_equal(rows, np.arange(r - halo, r + halo + 1))
+
+
+def test_taped_forward_is_one_band(monkeypatch):
+    # under a tape the forward is one band at any height: the same ops on the
+    # tape and bit-identical gradients, whatever BAND_ROWS says
+    p = perturbed_model(36)
+    rng = np.random.default_rng(37)
+    img = Tensor(rng.uniform(0, 1, (1, 3, 23, 17)).astype(np.float32))
+    weights = Tensor(rng.standard_normal((1, 3, 23, 17)).astype(np.float32))
+    runs = []
+    for rows in (23, 5):
+        monkeypatch.setattr(model_local, "BAND_ROWS", rows)
+        for _, t in named_parameters(p):
+            t.grad = None
+        with Tape() as tape:
+            out, _ = iat_forward(img, p)
+            ops = len(tape)
+            tape.backward((out * weights).sum())
+        runs.append((ops, [t.grad for _, t in named_parameters(p)]))
+    (ops_one, grads_one), (ops_banded, grads_banded) = runs
+    assert ops_banded == ops_one
+    for name, a, b in zip(dict(named_parameters(p)), grads_banded, grads_one):
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_identity_at_init_exact():

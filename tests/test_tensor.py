@@ -18,6 +18,7 @@ from iat.tensor import (
     parameter,
     permute,
     pow_clamped,
+    recording,
     reduce,
     relu,
     reshape,
@@ -667,6 +668,20 @@ def test_nested_tape_is_refused():
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
     with Tape() as tape:  # and a new one opens once it has closed
         assert len(tape) == 0
+
+
+def test_recording_is_per_thread():
+    import threading
+
+    assert not recording()
+    seen = []
+    with Tape():
+        assert recording()
+        other = threading.Thread(target=lambda: seen.append(recording()))
+        other.start()
+        other.join()
+    assert seen == [False]
+    assert not recording()
 
 
 def test_backward_on_empty_tape():
