@@ -119,6 +119,8 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 def cmd_enhance(args) -> int:
     _require_at_least("--threads", args.threads, 1)
+    if not Path(args.input).exists():
+        raise UsageError(f"--input {args.input} does not exist")
     inputs = _list_images(Path(args.input))
     if not inputs:
         raise UsageError(f"no images found in {args.input}")

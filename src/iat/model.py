@@ -149,7 +149,7 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     encoder conv's output size comes from its stride and kernel. The
     prediction module's matmuls cost their weight sizes per key/value pixel
     or per query token. Left out: the O(C^3) matmuls that fold each block's
-    norms and layer scales into its convs (`pem_stack`; no per-pixel cost)
+    norms and layer scales into its convs (`fold_pem`; no per-pixel cost)
     and the 9 MACs per pixel of the color-matrix product in `compose_iat`.
     The published counting convention is unknown, so this estimator
     documents its own; `estimate_flops` is its "total".
@@ -255,6 +255,8 @@ def load_checkpoint(path) -> tuple[IATParams, int]:
         name, shape, off, nbytes = _tensor_entry(path, entry)
         if name not in expected:
             raise FormatError(f"{path}: unknown tensor name {name!r} for config {config}")
+        if name in seen:
+            raise FormatError(f"{path}: tensor {name!r} is listed twice")
         t = expected[name]
         if shape != t.shape:
             raise FormatError(

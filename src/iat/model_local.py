@@ -43,8 +43,8 @@ class Conv2d:
     def padding(self) -> int:
         return self.weight.shape[-1] // 2
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, residual)
 
 
 def kaiming_conv(rng, out_ch, in_ch, k, dtype, stride=1):
@@ -153,7 +153,40 @@ def pem_init(channels: int, rng, dtype=np.float32) -> PemParams:
     )
 
 
-def pem_stack(x: Tensor, blocks: list[PemParams]) -> Tensor:
+@dataclass
+class FoldedPem:
+    """One PEM with its linear pieces folded into six convs (see `fold_pem`)."""
+
+    pos_dw: Conv2d  # 3x3 depthwise, +1 on the centre tap
+    pw1: Conv2d  # 1x1, norm1 folded in
+    dw: Conv2d  # 3x3 depthwise, as in the block
+    pw2: Conv2d  # 1x1, k_spatial folded in
+    mix1: Conv2d  # 1x1, norm2 folded in
+    mix2: Conv2d  # 1x1, k_channel folded in
+
+
+def fold_pem(p: PemParams) -> FoldedPem:
+    """The block's convs with its linear pieces folded into their weights
+    (structural re-parameterization): the positional residual is +1 on
+    pos_dw's centre tap, each norm is composed into the 1x1 after it
+    (`fold_norm`), and each layer scale into the 1x1 before it
+    (`fold_scale`). Built from ops on (C, C) weights that read parameters
+    only, so gradients flow back to every parameter of the block.
+    """
+    w = p.pos_dw.weight
+    centre = np.zeros(w.shape, dtype=w.dtype)
+    centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
+    return FoldedPem(
+        pos_dw=replace(p.pos_dw, weight=w + Tensor(centre)),
+        pw1=fold_norm(p.norm1, p.pw1),
+        dw=p.dw,
+        pw2=fold_scale(p.scale.k_spatial, p.pw2),
+        mix1=fold_norm(p.norm2, p.mix1),
+        mix2=fold_scale(p.scale.k_channel, p.mix2),
+    )
+
+
+def pem_stack(x: Tensor, blocks: list[FoldedPem]) -> Tensor:
     """Each pixel-wise enhancement block in turn: positional encoding,
     spatial sub-block, channel sub-block, all residual:
 
@@ -161,31 +194,22 @@ def pem_stack(x: Tensor, blocks: list[PemParams]) -> Tensor:
         v = u + k_spatial * pw2(gelu(dw(gelu(pw1(norm1(u))))))
         out = v + k_channel * mix2(gelu(mix1(norm2(v))))
 
-    The linear pieces are folded into the convs' weights first (structural
-    re-parameterization, on the tape): the residual is +1 on pos_dw's centre
-    tap, each norm is composed into the 1x1 after it (`fold_norm`), and each
-    layer scale into the 1x1 before it (`fold_scale`). A plane then passes
-    through 6 convs, 3 GELUs and 2 adds per block.
+    The blocks come folded (`fold_pem`), and the two sub-block residuals are
+    added inside the 1x1 convs that end them (`conv2d`'s residual). A plane
+    then passes through 6 convs and 3 GELUs per block.
 
     One name carries the plane from op to op, so an untaped forward frees
     each plane as soon as its last reader has run: a block's input once
-    pos_dw has read it, u once the spatial residual add has. At most three
-    planes of the stack are alive at a time, besides the caller's `x`.
+    pos_dw has read it, u once pw2 has added it. At most three planes of the
+    stack are alive at a time, besides the caller's `x`.
     """
     for p in blocks:
-        c = p.scale.k_spatial.shape[0]
+        c = p.dw.weight.shape[0]
         if x.ndim != 4 or x.shape[1] != c:
             raise ShapeError(f"pem_stack expects (1, {c}, H, W), got {x.shape}")
-        w = p.pos_dw.weight
-        centre = np.zeros(w.shape, dtype=w.dtype)
-        centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
-        x = replace(p.pos_dw, weight=w + Tensor(centre))(x)  # u
-        pw1 = fold_norm(p.norm1, p.pw1)
-        pw2 = fold_scale(p.scale.k_spatial, p.pw2)
-        x = x + pw2(gelu(p.dw(gelu(pw1(x)))))  # v
-        mix1 = fold_norm(p.norm2, p.mix1)
-        mix2 = fold_scale(p.scale.k_channel, p.mix2)
-        x = x + mix2(gelu(mix1(x)))
+        x = p.pos_dw(x)  # u
+        x = p.pw2(gelu(p.dw(gelu(p.pw1(x)))), residual=x)  # v
+        x = p.mix2(gelu(p.mix1(x)), residual=x)
     return x
 
 
@@ -200,7 +224,7 @@ class LocalMaps:
 @dataclass
 class LocalBranchParams:
     stem: Conv2d  # 3x3, 3 -> C
-    gain_blocks: list[PemParams]
+    gain_blocks: list[PemParams]  # or list[FoldedPem], see `fold_local`
     offset_blocks: list[PemParams]
     gain_head: Conv2d  # 3x3, C -> 3, + ReLU
     offset_head: Conv2d  # 3x3, C -> 3, + tanh
@@ -225,11 +249,27 @@ def local_branch_init(channels: int, blocks: int, rng, dtype=np.float32) -> Loca
     )
 
 
+def fold_local(p: LocalBranchParams) -> LocalBranchParams:
+    """The branch with every block folded (`fold_pem`); a branch whose
+    blocks are folded already is returned as it is. Folded once, a branch
+    can run any number of images (bands, or a training step's samples) from
+    one set of folded weights.
+    """
+    blocks = p.gain_blocks + p.offset_blocks
+    if all(isinstance(b, FoldedPem) for b in blocks):
+        return p
+    return replace(
+        p,
+        gain_blocks=[fold_pem(b) for b in p.gain_blocks],
+        offset_blocks=[fold_pem(b) for b in p.offset_blocks],
+    )
+
+
 def local_halo(p: LocalBranchParams) -> int:
     """Rows of context a map row reads above and below it: the summed
     padding of the stride-1 convs on one stack's path (stem, every conv of
     every block, head; both stacks have the same layers), 8 at the default
-    sizes."""
+    sizes. Folded blocks have the same convs, so the same halo."""
     convs = [getattr(b, f.name) for b in p.gain_blocks for f in fields(b)]
     blocks = sum(c.padding for c in convs if isinstance(c, Conv2d))
     return p.stem.padding + blocks + p.gain_head.padding
@@ -244,8 +284,10 @@ def local_branch_forward(img: Tensor, p: LocalBranchParams) -> LocalMaps:
     its own rows of the maps. A map row depends on no input row beyond the
     halo and every op computes each output element the same way at any
     height, so the maps are bit-identical to one band. A taped forward is
-    one band: its graph keeps every plane anyway.
+    one band: its graph keeps every plane anyway. The blocks are folded
+    once (`fold_local`), before the first band.
     """
+    p = fold_local(p)
     h = img.shape[2]
     if recording() or h <= BAND_ROWS:
         return _branch(img, p)

@@ -10,8 +10,9 @@ The plane-sized passes run in strips of about `_STRIP_FLOATS` floats per
 array, so each pass rereads data in L2 instead of streaming whole planes:
 GELU forward and backward over the flat array (see `gelu`), and the conv
 forward in strips of output rows whose height counts both input and output
-channels (see `conv2d`). Each conv strip zero-pads only its own input rows;
-convolution taps read 1-d windows of that flat padded strip.
+channels (see `conv2d`). Each conv strip zero-pads only its own input rows,
+split into stride x stride phase planes; convolution taps read contiguous 1-d
+windows of those flat planes.
 
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
@@ -22,8 +23,11 @@ nothing is kept, so inference runs tape-free. A tape supports one
 `Tape.backward` pass and is consumed by it: backward pops each entry and
 moves its output's gradient into the rule, so an op's closure (its inputs,
 padded planes) and that gradient are freed as soon as they are used.
-Gradients land on leaves only (parameters and inputs) and accumulate across
-tapes, so a batch can be differentiated one sample's tape at a time.
+Gradients land on a tape's leaves only (parameters, inputs, and outputs of
+another tape) and accumulate across tapes, so a batch can be differentiated
+one sample's tape at a time, and weights every sample reads can be built once
+on a tape of their own whose backward runs last, with no loss (see
+`Tape.backward`).
 
 float32 is the working precision; building tensors from float64 arrays keeps
 float64 throughout, which the finite-difference tests rely on.
@@ -157,26 +161,36 @@ class Tape:
     def __len__(self):
         return len(self._ops)
 
-    def backward(self, loss: Tensor):
+    def backward(self, loss: Tensor | None = None):
         """Add d(loss)/d(leaf) into .grad of every leaf reachable from loss.
 
-        Leaves are the requires_grad tensors no recorded op produced
-        (parameters, inputs); their .grad accumulates across tapes. Each entry
-        is popped and its output's gradient moved into its rule, so memory
-        falls as the walk proceeds and no op output keeps a .grad. The
-        tape is consumed before the first rule runs, so a rule that raises
-        leaves a tape that refuses another backward.
+        Leaves are the requires_grad tensors no op on this tape produced
+        (parameters, inputs, outputs of another tape); their .grad
+        accumulates across tapes. Each entry is popped and its output's
+        gradient moved into its rule, so memory falls as the walk proceeds
+        and no op output keeps a .grad. The tape is consumed before the
+        first rule runs, so a rule that raises leaves a tape that refuses
+        another backward.
+
+        With no loss, the gradients start from what the tape's outputs
+        already hold: a tape whose outputs other tapes read as leaves (say,
+        weights built once and shared by several samples' tapes) runs after
+        those tapes' backward passes have filled the outputs' .grad.
         """
         if self._consumed:
             raise ContractError("tape already consumed by a previous backward pass")
-        if loss.data.size != 1:
+        if loss is not None and loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         if not self._ops:
             raise ContractError("backward on an empty tape")
-        if not loss.requires_grad:
+        if loss is None:
+            if all(out.grad is None for out, _ in self._ops):
+                raise ContractError("no output of the tape holds a gradient")
+        elif not loss.requires_grad:
             raise ContractError("loss does not depend on any requires_grad tensor")
         self._consumed = True
-        loss.grad = np.ones_like(loss.data)
+        if loss is not None:
+            loss.grad = np.ones_like(loss.data)
         ops = self._ops
         while ops:
             out, rule = ops.pop()
@@ -301,29 +315,49 @@ def conv_output_size(n: int, k: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - k) // stride + 1
 
 
-def _strip_rows(cin: int, cout: int, wp: int) -> int:
-    """Output rows per conv2d forward strip at padded row width wp.
+def _strip_rows(cin: int, cout: int, wq: int) -> int:
+    """Output rows per conv2d forward strip at phase-plane row width wq.
 
     Both the accumulator (Cout channels) and each tap's input window (Cin
     channels) span the strip's rows, so the larger of the two sets the height.
     """
-    return max(1, _STRIP_FLOATS // (max(cin, cout) * wp))
+    return max(1, _STRIP_FLOATS // (max(cin, cout) * wq))
 
 
-def _pad_rows(x: np.ndarray, buf: np.ndarray, r0: int, padding: int) -> None:
-    """Fill buf (C, rows, W + 2*padding) with rows [r0, r0 + rows) of x's
-    (C, H, W) zero-padded plane; buf's border columns must already be zero."""
+def _phase_rows(x: np.ndarray, buf: np.ndarray, r0: int, padding: int) -> None:
+    """Fill buf (s, s, C, rows, wq) with the stride-s phase planes of x's
+    (C, H, W) zero-padded plane from padded row r0 on: buf[py, px, :, i, j]
+    is the padded plane's element (r0 + s*i + py, s*j + px). The columns
+    that hold no element of x are the same in every strip and must already
+    be zero. At s = 1 the one phase plane is the padded rows themselves."""
+    s = buf.shape[0]
     h, wdt = x.shape[1:]
-    r1 = r0 + buf.shape[1]
-    a = min(max(r0, padding), r1)  # padded rows [a, b) hold rows of x
-    b = max(a, min(r1, padding + h))
-    buf[:, : a - r0] = 0
-    buf[:, a - r0 : b - r0, padding : padding + wdt] = x[:, a - padding : b - padding]
-    buf[:, b - r0 :] = 0
+    rows, wq = buf.shape[3:]
+    for py in range(s):
+        top = r0 + py - padding  # the row of x that phase row 0 holds
+        a = min(max(0, -(top // s)), rows)  # phase rows [a, b) hold rows of x
+        b = max(a, min(rows, -((top - h) // s)))
+        for px in range(s):
+            left = px - padding  # the column of x that phase column 0 holds
+            ja = max(0, -(left // s))  # phase columns [ja, jb) hold columns of x
+            jb = max(ja, min(wq, -((left - wdt) // s)))
+            plane = buf[py, px]
+            plane[:, :a] = 0
+            cols = slice(left + s * ja, left + s * jb, s)
+            plane[:, a:b, ja:jb] = x[:, top + s * a : top + s * b : s, cols]
+            plane[:, b:] = 0
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d convolution of one (1, C, H, W) image, plus a per-channel bias.
+def conv2d(
+    x: Tensor,
+    w: Tensor,
+    bias: Tensor,
+    stride: int = 1,
+    padding: int = 0,
+    residual: Tensor | None = None,
+) -> Tensor:
+    """2-d convolution of one (1, C, H, W) image, plus a per-channel bias and,
+    if given, a residual of the output's shape: conv + bias + residual.
 
     The weight's shape says the kind, each with one code path at any stride:
     full, weights (Cout, Cin, kh, kw), and depthwise, weights (C, 1, kh, kw)
@@ -331,21 +365,28 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     image, raises ShapeError. With Cin = 1 the weight is full; both kinds
     would compute the same thing. Padding is symmetric and zero.
 
-    Every array inside is a 2-d (C, L) plane; rows are wp = W + 2*padding
-    wide. Output (yo, xo) sits at j = yo*wp + xo of an (Ho, wp) grid whose
-    columns xo >= Wo are junk, and tap (dy, dx) reads the (C, m) window of
-    the flat padded plane at stride*j + dy*wp + dx: contiguous at stride 1,
-    one uniform stride otherwise. Full taps are one gemm of the (Cout, Cin)
-    tap weights with the window, depthwise taps one broadcast multiply.
+    The zero-padded input (rows wp = W + 2*padding wide) is split into
+    stride x stride phase planes: phase (py, px) holds the padded elements
+    (s*i + py, s*j + px), in rows wq = ceil(wp / s) wide. Every array inside
+    is a 2-d (C, L) plane. Output (yo, xo) sits at j = yo*wq + xo of an
+    (Ho, wq) grid whose columns xo >= Wo are junk (about one at stride 2),
+    and tap (dy, dx) reads the contiguous (C, m) window of phase plane
+    (dy % s, dx % s) at j + (dy // s)*wq + dx // s. At stride 1 the one
+    phase plane is the padded plane itself. Full taps are one gemm of the
+    (Cout, Cin) tap weights with the window, depthwise taps one broadcast
+    multiply.
 
     The forward runs in strips of output rows, `_strip_rows` high, so a
     strip's accumulator and every tap's input window stay in L2. Each strip
-    pads its own input rows into one reused zero-bordered buffer; no padded
+    fills its own phase rows into one reused zero-bordered buffer; no padded
     copy of the whole input is made unless one strip covers the output, and
-    then the backward rule reuses that buffer as its plane (otherwise it pads
-    the plane when it runs). A strip writes its valid columns, plus bias,
-    into the output; when the grid has no junk columns (Wo = wp, as in an
-    unpadded 1x1 conv) the taps accumulate in the output itself.
+    then the backward rule reuses that buffer as its phase planes (otherwise
+    it fills them when it runs). A strip writes its valid columns plus bias
+    into the output, then adds the residual's rows; when the grid has no
+    junk columns (Wo = wq, as in an unpadded 1x1 conv) the taps accumulate
+    in the output itself. The rule hands the output gradient to the
+    residual unchanged, so a residual block's sum never exists as a plane
+    of its own.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
@@ -367,51 +408,50 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise ShapeError(
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wdt}"
         )
+    if residual is not None and residual.shape != (1, cout, ho, wo):
+        raise ShapeError(f"residual shape {residual.shape} != {(1, cout, ho, wo)}")
 
     xd = x.data[0]
-    wp = wdt + 2 * padding
-    offsets = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
+    s = stride
+    wq = -(-(wdt + 2 * padding) // s)
+    # (phase plane, flat offset) of each tap, in (dy, dx) order
+    taps = [((dy % s, dx % s), dy // s * wq + dx // s) for dy in range(kh) for dx in range(kw)]
+    reach = max(off for _, off in taps)
 
     def rows_read(nrows):
-        """Padded input rows the taps read for nrows output rows."""
-        return -(-(stride * (nrows * wp - 1) + offsets[-1] + 1) // wp)
+        """Phase rows the taps read for nrows output rows."""
+        return -(-(nrows * wq + reach) // wq)
 
-    # the whole padded plane, with enough zero rows for the last tap's window
-    rows = max(h + 2 * padding, rows_read(ho))
-    band = min(_strip_rows(cin, cout, wp), ho)
-    if (rows, padding) == (h, 0):  # the taps read x itself
-        plane = xd.reshape(cin, h * wdt)
-    else:  # a strip's rows, padded into one reused zero-bordered buffer
-        buf = np.zeros((cin, rows_read(band), wp), dtype=xd.dtype)
+    # the whole padded plane's phase rows, with enough zero rows for the last tap's window
+    rows = max(-(-(h + 2 * padding) // s), rows_read(ho))
+    band = min(_strip_rows(cin, cout, wq), ho)
+    if (s, padding, rows) == (1, 0, h):  # the taps read x itself
+        plane = xd.reshape(1, 1, cin, h * wdt)
+    else:  # a strip's phase rows, filled into one reused zero-bordered buffer
+        buf = np.zeros((s, s, cin, rows_read(band), wq), dtype=xd.dtype)
         plane = None
-
-    def window(flat, j0, m, off):
-        """The (C, m) window tap `off` reads for grid cells [j0, j0 + m)."""
-        start = stride * j0 + off
-        return flat[:, start : start + stride * (m - 1) + 1 : stride]
 
     # per-tap weights: (C, 1) broadcast over a window, or (Cout, Cin) for a gemm
     wt = np.ascontiguousarray(np.moveaxis(w.data.reshape(cout, cpg, kh * kw), 2, 0))
     dtype = np.result_type(x.data, w.data)
 
     data = np.empty((1, cout, ho, wo), dtype=dtype)
-    direct = wo == wp  # no junk columns: accumulate in the output
-    acc = np.empty(cout * band * wp, dtype=dtype)
+    direct = wo == wq  # no junk columns: accumulate in the output
+    acc = np.empty(cout * band * wq, dtype=dtype)
     tmp = np.empty_like(acc)
     for y0 in range(0, ho, band):
         y1 = min(y0 + band, ho)
-        m = (y1 - y0) * wp
+        m = (y1 - y0) * wq
         if plane is not None:
-            src, j0 = plane, y0 * wp
-        else:
-            strip = buf[:, : rows_read(y1) - stride * y0]
-            _pad_rows(xd, strip, stride * y0, padding)
-            src, j0 = strip.reshape(cin, -1), 0
+            src, j0 = plane, y0 * wq
+        else:  # the windows read only the rows filled for this strip
+            _phase_rows(xd, buf[:, :, :, : rows_read(y1 - y0)], s * y0, padding)
+            src, j0 = buf.reshape(s, s, cin, -1), 0
         out = data[0, :, y0:y1]
         a = out.reshape(cout, m) if direct else acc[: cout * m].reshape(cout, m)
         t = tmp[: cout * m].reshape(cout, m)
-        for i, off in enumerate(offsets):
-            win = window(src, j0, m, off)
+        for i, ((py, px), off) in enumerate(taps):
+            win = src[py, px, :, j0 + off : j0 + off + m]
             if depthwise:
                 np.multiply(wt[i], win, out=t if i else a)
             else:
@@ -421,12 +461,16 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         if direct:
             out += bias.data[:, None, None]
         else:
-            valid = a.reshape(cout, y1 - y0, wp)[:, :, :wo]
+            valid = a.reshape(cout, y1 - y0, wq)[:, :, :wo]
             np.add(valid, bias.data[:, None, None], out=out)
-    if band == ho:  # one strip padded the whole plane: the rule reuses it
+        if residual is not None:
+            out += residual.data[0, :, y0:y1]
+    if band == ho:  # one strip filled the whole phase planes: the rule reuses them
         plane = src
 
     def rule(g):
+        if residual is not None:
+            _accumulate(residual, g)
         g = g[0]
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(1, 2)))
@@ -434,23 +478,23 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         if not (need_x or need_w):
             return
         # a full 1x1 stride-1 unpadded conv has no junk columns and one gemm over all of x
-        whole = not depthwise and (kh, kw, stride, padding) == (1, 1, 1, 0)
-        m = ho * wp
+        whole = not depthwise and (kh, kw, s, padding) == (1, 1, 1, 0)
+        m = ho * wq
         if whole:
             gf = g.reshape(cout, m)
         else:
-            gf = np.zeros((cout, ho, wp), dtype=g.dtype)
+            gf = np.zeros((cout, ho, wq), dtype=g.dtype)
             gf[:, :, :wo] = g
             gf = gf.reshape(cout, m)
         if need_w:
             xf = plane
             if xf is None:
-                xpad = np.zeros((cin, rows, wp), dtype=xd.dtype)
-                _pad_rows(xd, xpad, 0, padding)
-                xf = xpad.reshape(cin, rows * wp)
+                xph = np.zeros((s, s, cin, rows, wq), dtype=xd.dtype)
+                _phase_rows(xd, xph, 0, padding)
+                xf = xph.reshape(s, s, cin, -1)
             gw = np.empty((cout, cpg, kh * kw), dtype=w.data.dtype)
-            for i, off in enumerate(offsets):
-                win = window(xf, 0, m, off)
+            for i, ((py, px), off) in enumerate(taps):
+                win = xf[py, px, :, off : off + m]
                 if depthwise:  # one dot per channel
                     gw[:, :, i] = np.matmul(gf[:, None, :], win[:, :, None])[:, 0]
                 else:
@@ -459,17 +503,20 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         if need_x and whole:
             _accumulate(x, (wt[0].T @ gf).reshape(x.data.shape))
         elif need_x:
-            gxf = np.zeros((cin, rows * wp), dtype=xd.dtype)
-            for i, off in enumerate(offsets):
-                win = window(gxf, 0, m, off)
+            gph = np.zeros((s, s, cin, rows * wq), dtype=xd.dtype)
+            for i, ((py, px), off) in enumerate(taps):
+                win = gph[py, px, :, off : off + m]
                 if depthwise:
                     win += wt[i] * gf
                 else:
                     win += wt[i].T @ gf
-            gxp = gxf.reshape(1, cin, rows, wp)
+            # interleave the phase gradients into the padded plane's gradient
+            gxp = gph.reshape(s, s, cin, rows, wq).transpose(2, 3, 0, 4, 1)
+            gxp = gxp.reshape(1, cin, rows * s, wq * s)
             _accumulate(x, gxp[:, :, padding : padding + h, padding : padding + wdt])
 
-    return _emit(data, (x, w, bias), rule)
+    inputs = (x, w, bias) if residual is None else (x, w, bias, residual)
+    return _emit(data, inputs, rule)
 
 
 # ---------------------------------------------------------------------------

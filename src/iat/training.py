@@ -15,7 +15,7 @@ learning-rate schedule from lr0 down to zero, no warmup.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import ConfigurationError, ContractError, ShapeError, TrainingDiver
 from .fileio import atomic_open
 from .image_io import ImageRGB, image_to_tensor, tensor_to_image
 from .model import IATConfig, IATParams, iat_forward, iat_init, named_parameters
+from .model_local import fold_local
 from .rng import philox
 from .tensor import Tape, Tensor, absolute, narrow
 
@@ -268,21 +269,24 @@ def train_loop(
 ) -> tuple[IATParams, list[LogRow]]:
     """Shuffled minibatches of random crops/flips; returns best-PSNR params.
 
-    A step draws its batch's crops and flips in batch order, then runs each
-    sample on a tape of its own: forward, loss, and backward of
+    A step draws its batch's crops and flips in batch order and folds every
+    PEM once (`fold_local`) on a step tape. It then runs each sample on a
+    tape of its own: forward from the folded weights, loss, and backward of
     loss * (1/len(batch)), which adds that sample's share into the
-    parameters' .grad. Backward frees the tape as it walks it, so a step
-    holds one sample's graph at any batch size. Samples run last first
-    because that is the order a reverse walk of one tape over the whole
-    batch reaches them: each parameter gradient gets the same terms added in
-    the same order, so the gradients are bit-identical to that single tape's.
-    The logged loss is the float32 sum of the sample losses in batch order,
+    parameters' .grad and into the folded weights' .grad. Backward frees the
+    tape as it walks it, so a step holds one sample's graph at any batch
+    size. The step tape's backward runs last and carries the folded weights'
+    summed gradients to the parameters. Samples run last first because that
+    is the order a reverse walk of one tape over the whole batch, folds
+    first, reaches them: each gradient gets the same terms added in the same
+    order, so the gradients are bit-identical to that single tape's. The
+    logged loss is the float32 sum of the sample losses in batch order,
     times 1/len(batch), which is the value that tape would have computed.
 
     Validation PSNR is measured on the training pairs every eval_every steps
     and after the last one; the best snapshot is restored into the returned
-    parameters. A non-finite loss raises `TrainingDiverged` before Adam
-    runs, with every parameter's .grad cleared.
+    parameters. A non-finite loss raises `TrainingDiverged` before the step
+    tape's backward and Adam run, with every parameter's .grad cleared.
     """
     if not samples:
         raise ConfigurationError("training dataset is empty")
@@ -321,11 +325,13 @@ def train_loop(
                 order = list(data_rng.permutation(len(samples)))
             batch.append(samples[order.pop()])
         crops = [_crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng) for s in batch]
+        with Tape() as step_tape:
+            folded = replace(params, local=fold_local(params.local))
         losses = [None] * len(batch)
         for i in reversed(range(len(batch))):
             inp, tgt, raw = crops[i]
             with Tape() as tape:
-                out, f_out = iat_forward(_to_nchw(inp), params)
+                out, f_out = iat_forward(_to_nchw(inp), folded)
                 loss = compute_loss(
                     cfg,
                     out,
@@ -344,6 +350,7 @@ def train_loop(
             for _, p in named:
                 p.grad = None
             raise TrainingDiverged(step, lr, list(history) + [loss_val])
+        step_tape.backward()
         history.append(loss_val)
         adam_step(named, state, lr, cfg.weight_decay)
         psnr_val = None

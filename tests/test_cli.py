@@ -202,6 +202,17 @@ def test_enhance_single_input_needs_image_suffix(clean_dir, identity_ckpt, tmp_p
     assert load_image(tmp_path / "out" / "photo.PNG").pixels.shape == (16, 16, 3)
 
 
+def test_enhance_missing_single_input_is_usage_error(tmp_path, capsys):
+    # refused before the checkpoint loads and before the output directory is made
+    code = main([
+        "enhance", "--checkpoint", str(tmp_path / "missing.iatc"),
+        "--input", str(tmp_path / "missing.png"), "--output", str(tmp_path / "o2"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --input")
+    assert not (tmp_path / "o2").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-2"])
 def test_enhance_threads_below_one_is_usage_error(
     clean_dir, identity_ckpt, tmp_path, capsys, threads

@@ -183,8 +183,8 @@ def test_flops_estimate_matches_counted_macs(monkeypatch, cfg):
 
     macs = []
 
-    def counting_conv2d(x, w, bias, stride=1, padding=0):
-        out = tensor.conv2d(x, w, bias, stride, padding)
+    def counting_conv2d(x, w, bias, stride=1, padding=0, residual=None):
+        out = tensor.conv2d(x, w, bias, stride, padding, residual)
         n, _, ho, wo = out.shape
         macs.append(n * ho * wo * w.size)
         return out
@@ -275,6 +275,17 @@ def test_checkpoint_unknown_tensor_name(tmp_path):
     save_checkpoint(p, path)
     rewrite_header(path, lambda h: h["tensors"][0].update(name="local.nonexistent.weight"))
     with pytest.raises(FormatError, match="unknown tensor"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_tensor_name(tmp_path):
+    # a second entry under a name already read must not silently replace it
+    p = iat_init(IATConfig(channels=8, blocks=2, d=16), rng=philox(30))
+    path = tmp_path / "model.iatc"
+    save_checkpoint(p, path)
+    rewrite_header(path, lambda h: h["tensors"].append(dict(h["tensors"][0])))
+    first, _ = next(named_parameters(p))
+    with pytest.raises(FormatError, match=f"{first!r} is listed twice"):
         load_checkpoint(path)
 
 

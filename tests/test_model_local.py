@@ -22,6 +22,7 @@ from iat.model_local import (
     LocalMaps,
     PemParams,
     fold_norm,
+    fold_pem,
     local_branch_forward,
     local_branch_init,
     local_halo,
@@ -97,7 +98,7 @@ def test_fold_norm_matches_per_pixel_oracle():
 def test_pem_channel_mismatch():
     x = Tensor(np.zeros((1, 4, 2, 2), dtype=np.float32))
     with pytest.raises(ShapeError, match="pem_stack"):
-        pem_stack(x, [pem_init(8, philox(0))])
+        pem_stack(x, [fold_pem(pem_init(8, philox(0)))])
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ def test_pem_zero_convs_is_identity():
         if name.endswith("weight") or name.endswith("bias"):
             t.data = np.zeros_like(t.data)
     x = Tensor(np.random.default_rng(2).standard_normal((1, 8, 4, 6)).astype(np.float32))
-    out = pem_stack(x, [p])
+    out = pem_stack(x, [fold_pem(p)])
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -149,7 +150,7 @@ def test_pem_forward_matches_reference(hw):
     p = perturbed_pem(16, 12)
     x = Tensor(np.random.default_rng(13).standard_normal((1, 16) + hw).astype(np.float32))
     np.testing.assert_allclose(
-        pem_stack(x, [p]).data, pem_forward_reference(x, p).data, rtol=1e-5, atol=1e-5
+        pem_stack(x, [fold_pem(p)]).data, pem_forward_reference(x, p).data, rtol=1e-5, atol=1e-5
     )
 
 
@@ -170,7 +171,7 @@ def test_pem_gradients_match_reference(dtype, tol):
     rng = np.random.default_rng(15)
     x = Tensor(rng.standard_normal((1, 16, 9, 11)), requires_grad=True, dtype=dtype)
     r = rng.standard_normal((1, 16, 9, 11)).astype(dtype)
-    folded = pem_grads(lambda x, p: pem_stack(x, [p]), p, x, r)
+    folded = pem_grads(lambda x, p: pem_stack(x, [fold_pem(p)]), p, x, r)
     reference = pem_grads(pem_forward_reference, p, x, r)
     for (name, got), (_, want) in zip(folded, reference):
         assert got.dtype == want.dtype == dtype, name
@@ -180,13 +181,14 @@ def test_pem_gradients_match_reference(dtype, tol):
 
 
 def test_pem_plane_op_budget():
-    # a plane may pass through the folded convs, GELUs and residual adds only
+    # a plane may pass through the folded convs and GELUs only: the residuals
+    # are added inside the convs that end each sub-block
     p = pem_init(8, philox(16))
     x = Tensor(np.random.default_rng(17).standard_normal((1, 8, 16, 20)).astype(np.float32))
     with Tape() as tape:
-        pem_stack(x, [p])
+        pem_stack(x, [fold_pem(p)])
         plane_ops = sum(out.shape == x.shape for out, _ in tape._ops)
-    assert plane_ops == 11  # 6 convs, 3 GELUs, 2 adds
+    assert plane_ops == 9  # 6 convs, 3 GELUs
 
 
 @pytest.mark.parametrize("hw", [(1, 1), (7, 13), (400, 600)])
@@ -194,7 +196,7 @@ def test_pem_preserves_arbitrary_resolution(hw):
     h, w = hw
     p = pem_init(4, philox(1))
     x = Tensor(np.random.default_rng(3).standard_normal((1, 4, h, w)).astype(np.float32))
-    out = pem_stack(x, [p])
+    out = pem_stack(x, [fold_pem(p)])
     assert out.shape == (1, 4, h, w)
 
 
@@ -207,7 +209,7 @@ def test_pem_gradients_match_fd():
     names, tensors = zip(*named_parameters(p))
 
     def fwd():
-        return pem_stack(x, [p]).sum()
+        return pem_stack(x, [fold_pem(p)]).sum()
 
     with Tape() as tape:
         tape.backward(fwd())
@@ -226,11 +228,11 @@ def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMa
     stem_out = p.stem(img)
     feat_gain = stem_out
     for blk in p.gain_blocks:
-        feat_gain = pem_stack(feat_gain, [blk])
+        feat_gain = pem_stack(feat_gain, [fold_pem(blk)])
     feat_gain = feat_gain + stem_out
     feat_offset = stem_out
     for blk in p.offset_blocks:
-        feat_offset = pem_stack(feat_offset, [blk])
+        feat_offset = pem_stack(feat_offset, [fold_pem(blk)])
     feat_offset = feat_offset + stem_out
     return LocalMaps(
         gain=relu(p.gain_head(feat_gain)),

@@ -206,6 +206,13 @@ def test_depthwise_center_one_is_identity():
         (1, 2, 3, 5, 6, 1, 1, 0, 1),  # 1x1
         (1, 3, 4, 7, 7, 3, 2, 0, 1),
         (1, 1, 3, 5, 6, 3, 1, 1, 1),  # one input channel: full, not depthwise
+        # stride 2 on phase planes, at odd and even sizes
+        (1, 3, 4, 7, 8, 3, 2, 1, 1),
+        (1, 3, 4, 8, 9, 3, 2, 1, 1),
+        (1, 5, 5, 6, 8, 3, 2, 1, 5),  # depthwise
+        (1, 5, 5, 7, 9, 3, 2, 1, 5),
+        (1, 4, 4, 8, 7, 3, 2, 1, 4),
+        (1, 3, 4, 7, 6, 1, 2, 0, 1),  # 1x1, stride 2: one phase plane of four is read
     ],
 )
 def test_conv_matches_loop_oracle(n, cin, cout, h, w, k, stride, padding, groups):
@@ -241,7 +248,7 @@ HEAD = ((3, 16, 3, 3), 1)  # more input than output channels
         (1, 70, 130, HEAD, True),
     ],
 )
-def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
+def test_conv_matches_taps_reference(monkeypatch, n, h, w, conv, multi_strip):
     wshape, stride = conv
     cout, cpg, k, _ = wshape
     depthwise = cpg == 1  # no conv in the model is full with one input channel
@@ -251,12 +258,15 @@ def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
     x = rng.standard_normal((n, cin, h, w)).astype(np.float32)
     wt = rng.standard_normal(wshape).astype(np.float32)
     b = rng.standard_normal(cout).astype(np.float32)
+    if multi_strip:
+        wq = -(-(w + 2 * padding) // stride)  # phase-plane row width
+        if stride > 1:  # phase planes are narrow enough for one strip: 8 rows each
+            monkeypatch.setattr(tensor, "_STRIP_FLOATS", 8 * max(cin, cout) * wq)
+        rows_per_strip = tensor._strip_rows(cin, cout, wq)
+        ho = tensor.conv_output_size(h, k, stride, padding)
+        assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
     out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding).data
     ref = conv2d_taps_reference(x, wt, b, stride, padding)
-    if multi_strip:
-        rows_per_strip = tensor._strip_rows(cin, cout, w + 2 * padding)
-        ho = ref.shape[2]
-        assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
     if depthwise:
         np.testing.assert_array_equal(out, ref)
     else:
@@ -271,8 +281,17 @@ def test_conv_matches_taps_reference(n, h, w, conv, multi_strip):
         (1, 70, 130, HEAD),
         (1, 70, 50, ENC_CONV2),
         (1, 70, 130, FULL1X1_16),
+        # stride 2 at odd and even sizes
+        (1, 37, 53, ((6, 1, 3, 3), 2)),
+        (1, 36, 52, ((6, 1, 3, 3), 2)),
+        (1, 37, 52, ((5, 3, 3, 3), 2)),
+        (1, 36, 53, ((5, 3, 3, 3), 2)),
     ],
-    ids=["depthwise", "full3x3", "full3x3-stride2", "1x1"],
+    ids=[
+        "depthwise", "full3x3", "full3x3-stride2", "1x1",
+        "depthwise-stride2-odd", "depthwise-stride2-even",
+        "full3x3-stride2-odd-h", "full3x3-stride2-odd-w",
+    ],
 )
 def test_conv_gradients_across_strips_match_one_strip(monkeypatch, n, h, w, conv):
     wshape, stride = conv
@@ -284,7 +303,10 @@ def test_conv_gradients_across_strips_match_one_strip(monkeypatch, n, h, w, conv
     wt = rng.standard_normal(wshape).astype(np.float32)
     b = rng.standard_normal(cout).astype(np.float32)
     ho = tensor.conv_output_size(h, k, stride, padding)
-    assert tensor._strip_rows(cin, cout, w + 2 * padding) < ho, "want >= 2 strips"
+    # strips of 8 output rows, the last one ragged
+    wq = -(-(w + 2 * padding) // stride)
+    monkeypatch.setattr(tensor, "_STRIP_FLOATS", 8 * max(cin, cout) * wq)
+    assert tensor._strip_rows(cin, cout, wq) == 8 and ho > 8 and ho % 8
 
     def grads():
         xt, wt_, bt = parameter(x), parameter(wt), parameter(b)
@@ -320,42 +342,59 @@ def test_conv_takes_one_image():
         conv2d(x, Tensor(np.zeros((4, 1, 3, 3))), Tensor(np.zeros(4)), padding=1)
 
 
-CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width
-    (1, 3, 4, 3, 1, 1, 1, 6),  # full 3x3
-    (1, 3, 4, 3, 2, 1, 1, 6),  # full 3x3, stride 2
-    (1, 4, 4, 3, 2, 1, 4, 6),  # depthwise 3x3, stride 2
-    (1, 4, 4, 3, 1, 1, 4, 6),  # depthwise 3x3
-    (1, 3, 5, 3, 1, 0, 1, 6),
-    (1, 3, 5, 1, 1, 0, 1, 6),  # 1x1
-    (1, 4, 4, 1, 1, 0, 4, 6),  # depthwise 1x1
+CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width, height, residual
+    (1, 3, 4, 3, 1, 1, 1, 6, 5, False),  # full 3x3
+    (1, 3, 4, 3, 2, 1, 1, 6, 5, False),  # full 3x3, stride 2
+    (1, 4, 4, 3, 2, 1, 4, 6, 5, False),  # depthwise 3x3, stride 2
+    (1, 4, 4, 3, 1, 1, 4, 6, 5, False),  # depthwise 3x3
+    (1, 3, 5, 3, 1, 0, 1, 6, 5, False),
+    (1, 3, 5, 1, 1, 0, 1, 6, 5, False),  # 1x1
+    (1, 4, 4, 1, 1, 0, 4, 6, 5, False),  # depthwise 1x1
     # an odd width leaves a partial last stride: its junk grid columns must not leak
-    (1, 3, 4, 3, 2, 1, 1, 7),
-    (1, 3, 3, 3, 2, 1, 3, 7),
+    (1, 3, 4, 3, 2, 1, 1, 7, 5, False),
+    (1, 3, 3, 3, 2, 1, 3, 7, 5, False),
+    # stride 2 at an even height, even and odd widths
+    (1, 3, 4, 3, 2, 1, 1, 6, 4, False),
+    (1, 3, 4, 3, 2, 1, 1, 7, 4, False),
+    (1, 4, 4, 3, 2, 1, 4, 6, 4, False),
+    (1, 4, 4, 3, 2, 1, 4, 7, 4, False),
+    # a residual added to the output, as the PEM's 1x1 convs take it
+    (1, 4, 4, 1, 1, 0, 1, 6, 5, True),
+    (1, 3, 4, 3, 2, 1, 1, 7, 5, True),
 ]
 
 
+def conv_fd_id(case):
+    """The case's values, without a trailing default width 6, height 5 or residual."""
+    *head, width, height, residual = case
+    tail = [width, height] if height != 5 else [width] if width != 6 else []
+    return "-".join(map(str, head + tail)) + ("-residual" if residual else "")
+
+
 @pytest.mark.parametrize(
-    "n,cin,cout,k,stride,padding,groups,width",
+    "n,cin,cout,k,stride,padding,groups,width,height,residual",
     CONV_FD_CASES,
-    # the default width 6 is left out of the ids
-    ids=["-".join(map(str, c[:7] if c[7] == 6 else c)) for c in CONV_FD_CASES],
+    ids=[conv_fd_id(c) for c in CONV_FD_CASES],
 )
-def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width):
+def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width, height, residual):
     rng = np.random.default_rng(11)
-    x = p64((n, cin, 5, width), rng)
+    x = p64((n, cin, height, width), rng)
     w = p64((cout, cin // groups, k, k), rng, 0.5)
     b = p64((cout,), rng)
+    ho = tensor.conv_output_size(height, k, stride, padding)
+    wo = tensor.conv_output_size(width, k, stride, padding)
+    r = p64((n, cout, ho, wo), rng) if residual else None
 
     def fwd():
-        y = conv2d(x, w, b, stride=stride, padding=padding)
+        y = conv2d(x, w, b, stride=stride, padding=padding, residual=r)
         return (y * y).sum()
 
+    leaves = [x, w, b] + ([r] if residual else [])
     with Tape() as tape:
         tape.backward(fwd())
-    nx, nw, nb = numeric_grad(lambda: fwd().item(), [x.data, w.data, b.data])
-    assert_grads_close(x.grad, nx, label="conv x")
-    assert_grads_close(w.grad, nw, label="conv w")
-    assert_grads_close(b.grad, nb, label="conv bias")
+    numeric = numeric_grad(lambda: fwd().item(), [t.data for t in leaves])
+    for label, t, num in zip(("conv x", "conv w", "conv bias", "residual"), leaves, numeric):
+        assert_grads_close(t.grad, num, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +679,25 @@ def test_backward_releases_op_outputs_and_leaves_keep_grads():
         tape.backward((x * w).sum())
     np.testing.assert_array_equal(x.grad, [21.0, 68.0])
     np.testing.assert_array_equal(w.grad, [7.0, 34.0])
+
+
+def test_backward_without_loss_starts_from_the_outputs_grads():
+    # weights built once on a tape of their own, read by two later tapes
+    w = parameter([1.0, 2.0])
+    with Tape() as shared:
+        w2 = w * w
+    with pytest.raises(ContractError, match="holds a gradient"):
+        shared.backward()  # no later tape has run: nothing to propagate
+    with Tape() as shared:
+        w2 = w * w
+    for x in ([3.0, 4.0], [5.0, 6.0]):
+        with Tape() as tape:
+            tape.backward((Tensor(x) * w2).sum())
+    np.testing.assert_array_equal(w2.grad, [8.0, 10.0])
+    assert w.grad is None
+    shared.backward()
+    assert w2.grad is None
+    np.testing.assert_array_equal(w.grad, [16.0, 40.0])  # 2 * w * (3 + 5, 4 + 6)
 
 
 def test_rule_that_raises_consumes_the_tape():

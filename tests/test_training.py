@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from iat.errors import ConfigurationError, ContractError, ShapeError, TrainingDiverged
 from iat.image_io import ImageRGB
 from iat.isp import degrade, sample_degradation
+from iat import tensor, training
 from iat.model import IATConfig, iat_forward, iat_init, named_parameters
+from iat.model_local import fold_local
 from iat.rng import philox
 from iat.tensor import Tape, Tensor, parameter
 from iat.training import (
@@ -380,7 +383,8 @@ def test_train_loop_nan_sample_clears_grads():
 
 
 def train_loop_one_tape(samples, cfg, config):
-    """Reference step: the whole batch on one tape, one backward per step."""
+    """Reference step: the whole batch on one tape, the PEM folds first and
+    shared by every sample, one backward per step."""
     params = iat_init(config, rng=philox(cfg.seed, 0))
     named = list(named_parameters(params))
     state = AdamState()
@@ -395,10 +399,11 @@ def train_loop_one_tape(samples, cfg, config):
                 order = list(data_rng.permutation(len(samples)))
             batch.append(samples[order.pop()])
         with Tape() as tape:
+            folded = replace(params, local=fold_local(params.local))
             total = None
             for s in batch:
                 inp, tgt, raw = _crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng)
-                out, f_out = iat_forward(_to_nchw(inp), params)
+                out, f_out = iat_forward(_to_nchw(inp), folded)
                 loss = compute_loss(cfg, out, _to_nchw(tgt), f_out, _to_nchw(raw))
                 total = loss if total is None else total + loss
             total = total * (1.0 / len(batch))
@@ -426,6 +431,41 @@ def test_per_sample_tapes_match_one_tape(loss, batch_size):
     assert [r.psnr_val for r in got_rows] == [r.psnr_val for r in want_rows]
     for (name, a), (_, b) in zip(named_parameters(got), named_parameters(want)):
         np.testing.assert_array_equal(a.data, b.data, err_msg=name)
+
+
+def test_sample_tapes_read_the_sample(monkeypatch):
+    # an op whose inputs derive from parameters alone computes the same value
+    # for every sample of a step: only the step tape may record one
+    data, recorded = set(), []
+    keep = []  # every tensor stays alive, so no id is reused
+    to_nchw, emit = training._to_nchw, tensor._emit
+
+    def marked(arr):
+        t = to_nchw(arr)
+        data.add(id(t))
+        keep.append(t)
+        return t
+
+    def watched(values, inputs, rule):
+        out = emit(values, inputs, rule)
+        keep.append(out)
+        if any(id(t) in data for t in inputs):
+            data.add(id(out))
+        tape = tensor._tls.tape
+        if tape is not None and out.requires_grad:
+            recorded.append((id(tape), id(out) in data))
+        return out
+
+    monkeypatch.setattr(training, "_to_nchw", marked)
+    monkeypatch.setattr(tensor, "_emit", watched)
+    cfg = small_cfg(batch_size=3, steps=2, eval_every=1000)
+    train_loop(make_pairs(3), cfg, config=SMALL_MODEL)
+    tapes = {}
+    for tape, reads_sample in recorded:
+        tapes.setdefault(tape, []).append(reads_sample)
+    kinds = sorted((any(ops), all(ops)) for ops in tapes.values())
+    # two step tapes that read no sample, then six sample tapes whose every op does
+    assert kinds == [(False, False)] * 2 + [(True, True)] * 6
 
 
 def _one_step_peak_bytes(batch_size):
