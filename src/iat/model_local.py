@@ -43,8 +43,8 @@ class Conv2d:
     def padding(self) -> int:
         return self.weight.shape[-1] // 2
 
-    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding, residual)
+    def __call__(self, x: Tensor, residuals: tuple[Tensor, ...] = ()) -> Tensor:
+        return conv2d(x, self.weight, self.bias, self.stride, self.padding, residuals)
 
 
 def kaiming_conv(rng, out_ch, in_ch, k, dtype, stride=1):
@@ -187,29 +187,33 @@ def fold_pem(p: PemParams) -> FoldedPem:
 
 
 def pem_stack(x: Tensor, blocks: list[FoldedPem]) -> Tensor:
-    """Each pixel-wise enhancement block in turn: positional encoding,
-    spatial sub-block, channel sub-block, all residual:
+    """Each pixel-wise enhancement block in turn, then the stack's skip of
+    its input x0. A block is positional encoding, spatial sub-block, channel
+    sub-block, all residual:
 
         u = x + pos_dw(x)
         v = u + k_spatial * pw2(gelu(dw(gelu(pw1(norm1(u))))))
         out = v + k_channel * mix2(gelu(mix1(norm2(v))))
 
-    The blocks come folded (`fold_pem`), and the two sub-block residuals are
-    added inside the 1x1 convs that end them (`conv2d`'s residual). A plane
-    then passes through 6 convs and 3 GELUs per block.
+    and the stack returns out + x0 after the last block. The blocks come
+    folded (`fold_pem`), and the residuals are added inside the 1x1 convs
+    that end them (`conv2d`'s residuals): the last block's mix2 adds v, then
+    x0, the same sum in the same order as (mix2 + v) + x0. A plane then
+    passes through 6 convs and 3 GELUs per block.
 
     One name carries the plane from op to op, so an untaped forward frees
     each plane as soon as its last reader has run: a block's input once
     pos_dw has read it, u once pw2 has added it. At most three planes of the
-    stack are alive at a time, besides the caller's `x`.
+    stack are alive at a time, besides the caller's x0.
     """
-    for p in blocks:
+    skip = x
+    for i, p in enumerate(blocks, 1):
         c = p.dw.weight.shape[0]
         if x.ndim != 4 or x.shape[1] != c:
             raise ShapeError(f"pem_stack expects (1, {c}, H, W), got {x.shape}")
         x = p.pos_dw(x)  # u
-        x = p.pw2(gelu(p.dw(gelu(p.pw1(x)))), residual=x)  # v
-        x = p.mix2(gelu(p.mix1(x)), residual=x)
+        x = p.pw2(gelu(p.dw(gelu(p.pw1(x)))), (x,))  # v
+        x = p.mix2(gelu(p.mix1(x)), (x, skip) if i == len(blocks) else (x,))
     return x
 
 
@@ -310,9 +314,9 @@ def _branch(img: Tensor, p: LocalBranchParams) -> LocalMaps:
 
     Each stack's head runs as soon as the stack ends, so the gain features
     are freed before the offset stack starts; only `stem_out` lives through
-    both stacks and their skips.
+    both stacks, whose last convs add it as their skip (`pem_stack`).
     """
     stem_out = p.stem(img)
-    gain = relu(p.gain_head(pem_stack(stem_out, p.gain_blocks) + stem_out))
-    offset = tanh(p.offset_head(pem_stack(stem_out, p.offset_blocks) + stem_out))
+    gain = relu(p.gain_head(pem_stack(stem_out, p.gain_blocks)))
+    offset = tanh(p.offset_head(pem_stack(stem_out, p.offset_blocks)))
     return LocalMaps(gain=gain, offset=offset)

@@ -17,12 +17,14 @@ windows of those flat planes.
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
 backward state: whatever it needs beyond the op's inputs and output (a relu
-mask, a sign, GELU's tanh) it computes when backward runs. The thread's one
-open `Tape` keeps the rule when any input requires grad; with no tape open
-nothing is kept, so inference runs tape-free. A tape supports one
-`Tape.backward` pass and is consumed by it: backward pops each entry and
-moves its output's gradient into the rule, so an op's closure (its inputs,
-padded planes) and that gradient are freed as soon as they are used.
+mask, a sign, GELU's tanh, a power's clamped base, a conv's padded phase
+planes) it computes when backward runs, so a tape holds no plane-sized
+array besides op outputs and leaves. The thread's one open `Tape` keeps the
+rule when any input requires grad; with no tape open nothing is kept, so
+inference runs tape-free. A tape supports one `Tape.backward` pass and is
+consumed by it: backward pops each entry and moves its output's gradient
+into the rule, so an op's closure (its inputs, a conv's per-tap weights)
+and that gradient are freed as soon as they are used.
 Gradients land on a tape's leaves only (parameters, inputs, and outputs of
 another tape) and accumulate across tapes, so a batch can be differentiated
 one sample's tape at a time, and weights every sample reads can be built once
@@ -354,10 +356,10 @@ def conv2d(
     bias: Tensor,
     stride: int = 1,
     padding: int = 0,
-    residual: Tensor | None = None,
+    residuals: tuple[Tensor, ...] = (),
 ) -> Tensor:
-    """2-d convolution of one (1, C, H, W) image, plus a per-channel bias and,
-    if given, a residual of the output's shape: conv + bias + residual.
+    """2-d convolution of one (1, C, H, W) image, plus a per-channel bias and
+    any residuals of the output's shape, added in order: conv + bias + r0 + r1.
 
     The weight's shape says the kind, each with one code path at any stride:
     full, weights (Cout, Cin, kh, kw), and depthwise, weights (C, 1, kh, kw)
@@ -378,15 +380,15 @@ def conv2d(
 
     The forward runs in strips of output rows, `_strip_rows` high, so a
     strip's accumulator and every tap's input window stay in L2. Each strip
-    fills its own phase rows into one reused zero-bordered buffer; no padded
-    copy of the whole input is made unless one strip covers the output, and
-    then the backward rule reuses that buffer as its phase planes (otherwise
-    it fills them when it runs). A strip writes its valid columns plus bias
-    into the output, then adds the residual's rows; when the grid has no
-    junk columns (Wo = wq, as in an unpadded 1x1 conv) the taps accumulate
-    in the output itself. The rule hands the output gradient to the
-    residual unchanged, so a residual block's sum never exists as a plane
-    of its own.
+    fills its own phase rows into one reused zero-bordered buffer, and no
+    padded copy of the whole input is made. The buffer dies with the
+    forward: the backward rule fills its phase planes from x when it runs,
+    so a tape keeps no padded copy of an input it already holds. A strip
+    writes its valid columns plus bias into the output, then adds each
+    residual's rows in turn; when the grid has no junk columns (Wo = wq, as
+    in an unpadded 1x1 conv) the taps accumulate in the output itself. The
+    rule hands the output gradient to every residual unchanged, so a
+    residual block's sum never exists as a plane of its own.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
@@ -408,8 +410,9 @@ def conv2d(
         raise ShapeError(
             f"kernel {kh}x{kw} with padding {padding} does not fit input {h}x{wdt}"
         )
-    if residual is not None and residual.shape != (1, cout, ho, wo):
-        raise ShapeError(f"residual shape {residual.shape} != {(1, cout, ho, wo)}")
+    for r in residuals:
+        if r.shape != (1, cout, ho, wo):
+            raise ShapeError(f"residual shape {r.shape} != {(1, cout, ho, wo)}")
 
     xd = x.data[0]
     s = stride
@@ -463,14 +466,12 @@ def conv2d(
         else:
             valid = a.reshape(cout, y1 - y0, wq)[:, :, :wo]
             np.add(valid, bias.data[:, None, None], out=out)
-        if residual is not None:
-            out += residual.data[0, :, y0:y1]
-    if band == ho:  # one strip filled the whole phase planes: the rule reuses them
-        plane = src
+        for r in residuals:
+            out += r.data[0, :, y0:y1]
 
     def rule(g):
-        if residual is not None:
-            _accumulate(residual, g)
+        for r in residuals:
+            _accumulate(r, g)
         g = g[0]
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(1, 2)))
@@ -515,8 +516,7 @@ def conv2d(
             gxp = gxp.reshape(1, cin, rows * s, wq * s)
             _accumulate(x, gxp[:, :, padding : padding + h, padding : padding + wdt])
 
-    inputs = (x, w, bias) if residual is None else (x, w, bias, residual)
-    return _emit(data, inputs, rule)
+    return _emit(data, (x, w, bias, *residuals), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +532,11 @@ def pow_clamped(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
         raise ConfigurationError(f"eps must be > 0, got {eps}")
     if gamma.data.size != 1:
         raise ShapeError(f"gamma must be scalar, got shape {gamma.shape}")
-    xc = np.maximum(x.data, eps)
     gval = float(gamma.data.reshape(()))
-    data = xc**gval
+    data = np.maximum(x.data, eps) ** gval
 
     def rule(g):
+        xc = np.maximum(x.data, eps)
         if x.requires_grad:
             gx = g * gval * xc ** (gval - 1.0)
             gx = np.where(x.data > eps, gx, 0.0).astype(x.data.dtype, copy=False)

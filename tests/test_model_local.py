@@ -133,6 +133,7 @@ def perturbed_pem(channels, seed, dtype=np.float32) -> PemParams:
 
 
 def test_pem_zero_convs_is_identity():
+    # the block is the identity, so the stack returns it plus the skip: x + x
     rng = philox(0)
     p = pem_init(8, rng)
     for name, t in named_parameters(p):
@@ -140,7 +141,7 @@ def test_pem_zero_convs_is_identity():
             t.data = np.zeros_like(t.data)
     x = Tensor(np.random.default_rng(2).standard_normal((1, 8, 4, 6)).astype(np.float32))
     out = pem_stack(x, [fold_pem(p)])
-    np.testing.assert_array_equal(out.data, x.data)
+    np.testing.assert_array_equal(out.data, x.data + x.data)
 
 
 @pytest.mark.parametrize("hw", [(1, 1), (37, 53), (64, 64)])
@@ -149,9 +150,8 @@ def test_pem_forward_matches_reference(hw):
     # a few 1e-6 absolute
     p = perturbed_pem(16, 12)
     x = Tensor(np.random.default_rng(13).standard_normal((1, 16) + hw).astype(np.float32))
-    np.testing.assert_allclose(
-        pem_stack(x, [fold_pem(p)]).data, pem_forward_reference(x, p).data, rtol=1e-5, atol=1e-5
-    )
+    want = pem_forward_reference(x, p) + x  # the stack's skip
+    np.testing.assert_allclose(pem_stack(x, [fold_pem(p)]).data, want.data, rtol=1e-5, atol=1e-5)
 
 
 def pem_grads(forward, p, x, r):
@@ -172,7 +172,7 @@ def test_pem_gradients_match_reference(dtype, tol):
     x = Tensor(rng.standard_normal((1, 16, 9, 11)), requires_grad=True, dtype=dtype)
     r = rng.standard_normal((1, 16, 9, 11)).astype(dtype)
     folded = pem_grads(lambda x, p: pem_stack(x, [fold_pem(p)]), p, x, r)
-    reference = pem_grads(pem_forward_reference, p, x, r)
+    reference = pem_grads(lambda x, p: pem_forward_reference(x, p) + x, p, x, r)
     for (name, got), (_, want) in zip(folded, reference):
         assert got.dtype == want.dtype == dtype, name
         np.testing.assert_allclose(
@@ -222,17 +222,28 @@ def test_pem_gradients_match_fd():
 # whole branch
 
 
+def folded_block_reference(x: Tensor, p: PemParams) -> Tensor:
+    """One folded block with each residual a plane add of its own, where
+    `pem_stack` adds them inside its convs: (conv + bias) + u is the same
+    IEEE sum as u + (conv + bias)."""
+    p = fold_pem(p)
+    u = p.pos_dw(x)
+    v = u + p.pw2(gelu(p.dw(gelu(p.pw1(u)))))
+    return v + p.mix2(gelu(p.mix1(v)))
+
+
 def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMaps:
-    """Both stacks first, then both heads, one `pem_stack` call per block:
-    every block's input and the gain features stay alive to the end."""
+    """Both stacks first, then both heads, every residual and each stack's
+    skip a plane add: every block's input and the gain features stay alive
+    to the end."""
     stem_out = p.stem(img)
     feat_gain = stem_out
     for blk in p.gain_blocks:
-        feat_gain = pem_stack(feat_gain, [fold_pem(blk)])
+        feat_gain = folded_block_reference(feat_gain, blk)
     feat_gain = feat_gain + stem_out
     feat_offset = stem_out
     for blk in p.offset_blocks:
-        feat_offset = pem_stack(feat_offset, [fold_pem(blk)])
+        feat_offset = folded_block_reference(feat_offset, blk)
     feat_offset = feat_offset + stem_out
     return LocalMaps(
         gain=relu(p.gain_head(feat_gain)),

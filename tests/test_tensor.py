@@ -266,12 +266,17 @@ def test_conv_matches_taps_reference(monkeypatch, n, h, w, conv, multi_strip):
         ho = tensor.conv_output_size(h, k, stride, padding)
         assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
     out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding).data
-    ref = conv2d_taps_reference(x, wt, b, stride, padding)
     if depthwise:
-        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(out, conv2d_taps_reference(x, wt, b, stride, padding))
     else:
-        # BLAS may block the per-tap gemms differently from tensordot's
-        np.testing.assert_allclose(out, ref, rtol=1e-6, atol=1e-6)
+        # BLAS may block and order each gemm's dot products as it likes, so
+        # compare with the exact (float64) sums, within the worst-case float32
+        # rounding of a K-term sum: K * eps * sum |term|, K = Cin*kh*kw + 1
+        f64 = [a.astype(np.float64) for a in (x, wt, b)]
+        ref = conv2d_taps_reference(*f64, stride, padding)
+        terms = conv2d_taps_reference(*map(np.abs, f64), stride, padding)
+        bound = (cpg * k * k + 1) * np.finfo(np.float32).eps * terms
+        assert np.all(np.abs(out - ref) <= bound), np.max(np.abs(out - ref) / bound)
 
 
 @pytest.mark.parametrize(
@@ -342,58 +347,72 @@ def test_conv_takes_one_image():
         conv2d(x, Tensor(np.zeros((4, 1, 3, 3))), Tensor(np.zeros(4)), padding=1)
 
 
-CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width, height, residual
-    (1, 3, 4, 3, 1, 1, 1, 6, 5, False),  # full 3x3
-    (1, 3, 4, 3, 2, 1, 1, 6, 5, False),  # full 3x3, stride 2
-    (1, 4, 4, 3, 2, 1, 4, 6, 5, False),  # depthwise 3x3, stride 2
-    (1, 4, 4, 3, 1, 1, 4, 6, 5, False),  # depthwise 3x3
-    (1, 3, 5, 3, 1, 0, 1, 6, 5, False),
-    (1, 3, 5, 1, 1, 0, 1, 6, 5, False),  # 1x1
-    (1, 4, 4, 1, 1, 0, 4, 6, 5, False),  # depthwise 1x1
+def test_conv_residual_shape_mismatch():
+    # every residual is checked, not only the first
+    x = Tensor(np.zeros((1, 4, 6, 7)))
+    w, b = Tensor(np.zeros((4, 4, 1, 1))), Tensor(np.zeros(4))
+    good, bad = Tensor(np.zeros((1, 4, 6, 7))), Tensor(np.zeros((1, 4, 6, 6)))
+    with pytest.raises(ShapeError, match=r"\(1, 4, 6, 6\)"):
+        conv2d(x, w, b, residuals=(good, bad))
+
+
+CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width, height, residuals
+    (1, 3, 4, 3, 1, 1, 1, 6, 5, 0),  # full 3x3
+    (1, 3, 4, 3, 2, 1, 1, 6, 5, 0),  # full 3x3, stride 2
+    (1, 4, 4, 3, 2, 1, 4, 6, 5, 0),  # depthwise 3x3, stride 2
+    (1, 4, 4, 3, 1, 1, 4, 6, 5, 0),  # depthwise 3x3
+    (1, 3, 5, 3, 1, 0, 1, 6, 5, 0),
+    (1, 3, 5, 1, 1, 0, 1, 6, 5, 0),  # 1x1
+    (1, 4, 4, 1, 1, 0, 4, 6, 5, 0),  # depthwise 1x1
     # an odd width leaves a partial last stride: its junk grid columns must not leak
-    (1, 3, 4, 3, 2, 1, 1, 7, 5, False),
-    (1, 3, 3, 3, 2, 1, 3, 7, 5, False),
+    (1, 3, 4, 3, 2, 1, 1, 7, 5, 0),
+    (1, 3, 3, 3, 2, 1, 3, 7, 5, 0),
     # stride 2 at an even height, even and odd widths
-    (1, 3, 4, 3, 2, 1, 1, 6, 4, False),
-    (1, 3, 4, 3, 2, 1, 1, 7, 4, False),
-    (1, 4, 4, 3, 2, 1, 4, 6, 4, False),
-    (1, 4, 4, 3, 2, 1, 4, 7, 4, False),
-    # a residual added to the output, as the PEM's 1x1 convs take it
-    (1, 4, 4, 1, 1, 0, 1, 6, 5, True),
-    (1, 3, 4, 3, 2, 1, 1, 7, 5, True),
+    (1, 3, 4, 3, 2, 1, 1, 6, 4, 0),
+    (1, 3, 4, 3, 2, 1, 1, 7, 4, 0),
+    (1, 4, 4, 3, 2, 1, 4, 6, 4, 0),
+    (1, 4, 4, 3, 2, 1, 4, 7, 4, 0),
+    # residuals added to the output, as the PEM's 1x1 convs take them: one,
+    # or a block's input and then the stack's skip
+    (1, 4, 4, 1, 1, 0, 1, 6, 5, 1),
+    (1, 3, 4, 3, 2, 1, 1, 7, 5, 1),
+    (1, 4, 4, 1, 1, 0, 1, 6, 5, 2),
 ]
 
 
 def conv_fd_id(case):
-    """The case's values, without a trailing default width 6, height 5 or residual."""
-    *head, width, height, residual = case
+    """The case's values, without a trailing default width 6, height 5 or
+    no residual."""
+    *head, width, height, residuals = case
     tail = [width, height] if height != 5 else [width] if width != 6 else []
-    return "-".join(map(str, head + tail)) + ("-residual" if residual else "")
+    suffix = {0: "", 1: "-residual"}.get(residuals, f"-{residuals}residuals")
+    return "-".join(map(str, head + tail)) + suffix
 
 
 @pytest.mark.parametrize(
-    "n,cin,cout,k,stride,padding,groups,width,height,residual",
+    "n,cin,cout,k,stride,padding,groups,width,height,residuals",
     CONV_FD_CASES,
     ids=[conv_fd_id(c) for c in CONV_FD_CASES],
 )
-def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width, height, residual):
+def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width, height, residuals):
     rng = np.random.default_rng(11)
     x = p64((n, cin, height, width), rng)
     w = p64((cout, cin // groups, k, k), rng, 0.5)
     b = p64((cout,), rng)
     ho = tensor.conv_output_size(height, k, stride, padding)
     wo = tensor.conv_output_size(width, k, stride, padding)
-    r = p64((n, cout, ho, wo), rng) if residual else None
+    rs = tuple(p64((n, cout, ho, wo), rng) for _ in range(residuals))
 
     def fwd():
-        y = conv2d(x, w, b, stride=stride, padding=padding, residual=r)
+        y = conv2d(x, w, b, stride=stride, padding=padding, residuals=rs)
         return (y * y).sum()
 
-    leaves = [x, w, b] + ([r] if residual else [])
+    leaves = [x, w, b, *rs]
     with Tape() as tape:
         tape.backward(fwd())
     numeric = numeric_grad(lambda: fwd().item(), [t.data for t in leaves])
-    for label, t, num in zip(("conv x", "conv w", "conv bias", "residual"), leaves, numeric):
+    labels = ["conv x", "conv w", "conv bias"] + [f"residual {i}" for i in range(residuals)]
+    for label, t, num in zip(labels, leaves, numeric):
         assert_grads_close(t.grad, num, label=label)
 
 

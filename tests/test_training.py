@@ -485,6 +485,62 @@ def test_step_memory_is_bounded_by_one_sample():
     assert eight <= 1.25 * one, (one, eight)
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _rule_private_arrays(tape: Tape) -> list[np.ndarray]:
+    """The arrays a tape's rules hold of their own: every array their
+    closures reach whose memory belongs to no tensor on the tape, neither an
+    op output nor a leaf."""
+    tensors, arrays, seen = [], [], set()
+    stack = [obj for entry in tape._ops for obj in entry]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            tensors.append(obj)
+        elif isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    owned = {id(_owner(t.data)) for t in tensors}
+    return [a for a in arrays if id(_owner(a)) not in owned]
+
+
+def _sample_tape_private_shapes(monkeypatch, size) -> list[tuple]:
+    """Shapes of the private arrays of one default-model sample tape of a
+    size x size training step, taken as its backward starts."""
+    shapes = []
+    backward = Tape.backward
+
+    def inspected(tape, loss=None):
+        if loss is not None:  # a sample tape, not the step tape
+            shapes.extend(sorted(a.shape for a in _rule_private_arrays(tape)))
+        return backward(tape, loss)
+
+    with monkeypatch.context() as m:
+        m.setattr(Tape, "backward", inspected)
+        cfg = small_cfg(batch_size=1, steps=1, crop_size=size)
+        train_loop(make_pairs(1, size=size), cfg, config=IATConfig())
+    return shapes
+
+
+def test_sample_tape_keeps_no_plane_of_its_own(monkeypatch):
+    # a rule keeps nothing that grows with the image beyond the op outputs and
+    # leaves it reads: no padded copy of a conv input, no clamped copy of the
+    # power's base. What it may keep (per-tap weights) is the same at any size
+    at_64 = _sample_tape_private_shapes(monkeypatch, 64)
+    assert at_64 == _sample_tape_private_shapes(monkeypatch, 32), at_64
+    assert all(math.prod(shape) < 16 * 64 * 64 for shape in at_64), at_64
+
+
 def test_metrics_csv_format(tmp_path):
     rows = [LogRow(0, 1e-3, 0.5, None), LogRow(1, 9e-4, 0.4, 31.2)]
     path = tmp_path / "log.csv"
