@@ -97,7 +97,7 @@ def encoder_forward(img: Tensor, p: EncoderParams) -> Tensor:
     _, _, h, w = img.shape
     if h < MIN_SIZE or w < MIN_SIZE:
         raise InputError(f"image {h}x{w} is smaller than the {MIN_SIZE}x{MIN_SIZE} encoder minimum")
-    return gelu(p.conv2(gelu(p.conv1(img))))
+    return gelu(p.conv2(p.conv1(img), gelu_input=True))
 
 
 def cross_attention(queries: Tensor, feats: Tensor, p: GpmParams) -> Tensor:

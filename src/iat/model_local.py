@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, conv2d, gelu, matmul, recording, relu, reshape, tanh
+from .tensor import Tensor, conv2d, matmul, recording, relu, reshape, tanh
 
 LAYER_SCALE_INIT = 1e-2
 
@@ -43,8 +43,12 @@ class Conv2d:
     def padding(self) -> int:
         return self.weight.shape[-1] // 2
 
-    def __call__(self, x: Tensor, residuals: tuple[Tensor, ...] = ()) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.padding, residuals)
+    def __call__(
+        self, x: Tensor, residuals: tuple[Tensor, ...] = (), gelu_input: bool = False
+    ) -> Tensor:
+        return conv2d(
+            x, self.weight, self.bias, self.stride, self.padding, residuals, gelu_input
+        )
 
 
 def kaiming_conv(rng, out_ch, in_ch, k, dtype, stride=1):
@@ -198,8 +202,10 @@ def pem_stack(x: Tensor, blocks: list[FoldedPem]) -> Tensor:
     and the stack returns out + x0 after the last block. The blocks come
     folded (`fold_pem`), and the residuals are added inside the 1x1 convs
     that end them (`conv2d`'s residuals): the last block's mix2 adds v, then
-    x0, the same sum in the same order as (mix2 + v) + x0. A plane then
-    passes through 6 convs and 3 GELUs per block.
+    x0, the same sum in the same order as (mix2 + v) + x0. Each GELU is
+    fused into the conv that reads it (`conv2d`'s gelu_input), so a plane
+    passes through 6 convs per block and no GELU output is ever a plane:
+    a tape keeps the pre-activations only.
 
     One name carries the plane from op to op, so an untaped forward frees
     each plane as soon as its last reader has run: a block's input once
@@ -212,8 +218,8 @@ def pem_stack(x: Tensor, blocks: list[FoldedPem]) -> Tensor:
         if x.ndim != 4 or x.shape[1] != c:
             raise ShapeError(f"pem_stack expects (1, {c}, H, W), got {x.shape}")
         x = p.pos_dw(x)  # u
-        x = p.pw2(gelu(p.dw(gelu(p.pw1(x)))), (x,))  # v
-        x = p.mix2(gelu(p.mix1(x)), (x, skip) if i == len(blocks) else (x,))
+        x = p.pw2(p.dw(p.pw1(x), gelu_input=True), (x,), gelu_input=True)  # v
+        x = p.mix2(p.mix1(x), (x, skip) if i == len(blocks) else (x,), gelu_input=True)
     return x
 
 

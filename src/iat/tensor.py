@@ -12,14 +12,16 @@ GELU forward and backward over the flat array (see `gelu`), and the conv
 forward in strips of output rows whose height counts both input and output
 channels (see `conv2d`). Each conv strip zero-pads only its own input rows,
 split into stride x stride phase planes; convolution taps read contiguous 1-d
-windows of those flat planes.
+windows of those flat planes. A conv can read the GELU of its input, applied
+as each strip fills (`conv2d`'s gelu_input), so a GELU whose only reader is
+a conv never writes a plane and a tape keeps the pre-activation alone.
 
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
 backward state: whatever it needs beyond the op's inputs and output (a relu
 mask, a sign, GELU's tanh, a power's clamped base, a conv's padded phase
-planes) it computes when backward runs, so a tape holds no plane-sized
-array besides op outputs and leaves. The thread's one open `Tape` keeps the
+planes and the GELU it reads) it computes when backward runs, so a tape
+holds no plane-sized array besides op outputs and leaves. The thread's one open `Tape` keeps the
 rule when any input requires grad; with no tape open nothing is kept, so
 inference runs tape-free. A tape supports one `Tape.backward` pass and is
 consumed by it: backward pops each entry and moves its output's gradient
@@ -357,9 +359,11 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
     residuals: tuple[Tensor, ...] = (),
+    gelu_input: bool = False,
 ) -> Tensor:
     """2-d convolution of one (1, C, H, W) image, plus a per-channel bias and
     any residuals of the output's shape, added in order: conv + bias + r0 + r1.
+    With gelu_input the conv reads gelu(x) in place of x.
 
     The weight's shape says the kind, each with one code path at any stride:
     full, weights (Cout, Cin, kh, kw), and depthwise, weights (C, 1, kh, kw)
@@ -389,6 +393,16 @@ def conv2d(
     in an unpadded 1x1 conv) the taps accumulate in the output itself. The
     rule hands the output gradient to every residual unchanged, so a
     residual block's sum never exists as a plane of its own.
+
+    With gelu_input every strip fills its buffer with GELU of its input
+    rows (see `_gelu`): an unpadded 1x1 conv straight from x, any other in
+    place after the copy, GELU(0) = 0 keeping the padding zero. So no GELU
+    plane exists, taped or not. The rule rebuilds gelu(x) into its phase
+    planes with GELU'(x) beside them, from the same tanh, and scales the
+    phase gradients by it as `gelu`'s rule scales its input gradient: the
+    output and every gradient are those of conv2d(gelu(x), ...), bit for
+    bit. The rule's phase planes, once gw has read them, hold the phase
+    gradients.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d x and w, got {x.shape} and {w.shape}")
@@ -428,7 +442,24 @@ def conv2d(
     # the whole padded plane's phase rows, with enough zero rows for the last tap's window
     rows = max(-(-(h + 2 * padding) // s), rows_read(ho))
     band = min(_strip_rows(cin, cout, wq), ho)
-    if (s, padding, rows) == (1, 0, h):  # the taps read x itself
+    rows_of_x = (s, padding, rows) == (1, 0, h)  # the phase rows are rows of x
+
+    def fill(dst, r0, scratch, d=None):
+        """dst's phase rows from padded row r0 on (see `_phase_rows`); with
+        gelu_input, of gelu(x), and GELU'(x) into d (dst's shape) if given.
+        scratch holds GELU's t (dst.size floats), and with d its tmp too."""
+        if not gelu_input:
+            _phase_rows(xd, dst, r0, padding)
+            return
+        t = scratch[: dst.size].reshape(dst.shape)
+        tmp = None if d is None else scratch[dst.size : 2 * dst.size].reshape(dst.shape)
+        if rows_of_x:  # GELU straight from x's rows
+            _gelu(xd[None, None, :, r0 : r0 + dst.shape[3]], t, y=dst, d=d, tmp=tmp)
+        else:  # in place; GELU(0) = 0, so the zero padding stays zero
+            _phase_rows(xd, dst, r0, padding)
+            _gelu(dst, t, y=dst, d=d, tmp=tmp)
+
+    if rows_of_x and not gelu_input:  # the taps read x itself
         plane = xd.reshape(1, 1, cin, h * wdt)
     else:  # a strip's phase rows, filled into one reused zero-bordered buffer
         buf = np.zeros((s, s, cin, rows_read(band), wq), dtype=xd.dtype)
@@ -440,15 +471,16 @@ def conv2d(
 
     data = np.empty((1, cout, ho, wo), dtype=dtype)
     direct = wo == wq  # no junk columns: accumulate in the output
-    acc = np.empty(cout * band * wq, dtype=dtype)
-    tmp = np.empty_like(acc)
+    # each tap's product, and GELU's t while a strip's buffer fills
+    tmp = np.empty(max(cout * band * wq, buf.size if gelu_input else 0), dtype=dtype)
+    acc = None if direct else np.empty(cout * band * wq, dtype=dtype)
     for y0 in range(0, ho, band):
         y1 = min(y0 + band, ho)
         m = (y1 - y0) * wq
         if plane is not None:
             src, j0 = plane, y0 * wq
         else:  # the windows read only the rows filled for this strip
-            _phase_rows(xd, buf[:, :, :, : rows_read(y1 - y0)], s * y0, padding)
+            fill(buf[:, :, :, : rows_read(y1 - y0)], s * y0, tmp.view(xd.dtype))
             src, j0 = buf.reshape(s, s, cin, -1), 0
         out = data[0, :, y0:y1]
         a = out.reshape(cout, m) if direct else acc[: cout * m].reshape(cout, m)
@@ -487,12 +519,20 @@ def conv2d(
             gf = np.zeros((cout, ho, wq), dtype=g.dtype)
             gf[:, :, :wo] = g
             gf = gf.reshape(cout, m)
+        # the taps' input: x itself, or its phase planes rebuilt from x; of
+        # gelu(x), with GELU'(x) at each phase element (`slope`) when x needs
+        # a gradient
+        xf, xph, slope = plane, None, None
+        if xf is None and (need_w or gelu_input):
+            xph = np.zeros((s, s, cin, rows, wq), dtype=xd.dtype)
+            slope = np.empty_like(xph) if gelu_input and need_x else None
+            k = rows_read(band)  # rows per fill, which bound GELU's scratch
+            scratch = np.empty(2 * s * s * cin * k * wq if gelu_input else 0, dtype=xd.dtype)
+            for r0 in range(0, rows, k):
+                d = None if slope is None else slope[:, :, :, r0 : r0 + k]
+                fill(xph[:, :, :, r0 : r0 + k], s * r0, scratch, d)
+            xf = xph.reshape(s, s, cin, -1)
         if need_w:
-            xf = plane
-            if xf is None:
-                xph = np.zeros((s, s, cin, rows, wq), dtype=xd.dtype)
-                _phase_rows(xd, xph, 0, padding)
-                xf = xph.reshape(s, s, cin, -1)
             gw = np.empty((cout, cpg, kh * kw), dtype=w.data.dtype)
             for i, ((py, px), off) in enumerate(taps):
                 win = xf[py, px, :, off : off + m]
@@ -501,20 +541,30 @@ def conv2d(
                 else:
                     gw[:, :, i] = gf @ win.T
             _accumulate(w, gw.reshape(w.data.shape))
-        if need_x and whole:
-            _accumulate(x, (wt[0].T @ gf).reshape(x.data.shape))
-        elif need_x:
-            gph = np.zeros((s, s, cin, rows * wq), dtype=xd.dtype)
+        if not need_x:
+            return
+        # the phase gradients, in the phase planes' buffer once gw has read it
+        if xph is None:
+            gph = (np.empty if whole else np.zeros)((s, s, cin, rows * wq), dtype=xd.dtype)
+        else:
+            gph = xph.reshape(s, s, cin, rows * wq)
+            if not whole:
+                gph.fill(0)
+        if whole:  # one gemm over all of x
+            np.matmul(wt[0].T, gf, out=gph[0, 0])
+        else:
             for i, ((py, px), off) in enumerate(taps):
                 win = gph[py, px, :, off : off + m]
                 if depthwise:
                     win += wt[i] * gf
                 else:
                     win += wt[i].T @ gf
-            # interleave the phase gradients into the padded plane's gradient
-            gxp = gph.reshape(s, s, cin, rows, wq).transpose(2, 3, 0, 4, 1)
-            gxp = gxp.reshape(1, cin, rows * s, wq * s)
-            _accumulate(x, gxp[:, :, padding : padding + h, padding : padding + wdt])
+        if slope is not None:  # GELU'(x) * g, as `gelu`'s rule multiplies
+            np.multiply(slope.reshape(gph.shape), gph, out=gph)
+        # interleave the phase gradients into the padded plane's gradient
+        gxp = gph.reshape(s, s, cin, rows, wq).transpose(2, 3, 0, 4, 1)
+        gxp = gxp.reshape(1, cin, rows * s, wq * s)
+        _accumulate(x, gxp[:, :, padding : padding + h, padding : padding + wdt])
 
     return _emit(data, (x, w, bias, *residuals), rule)
 
@@ -548,22 +598,47 @@ def pow_clamped(x: Tensor, gamma: Tensor, eps: float) -> Tensor:
     return _emit(data, (x, gamma), rule)
 
 
-def _gelu_strips(xd: np.ndarray, *flat: np.ndarray):
-    """Yield (x, t, *strips of `flat`) for each `_STRIP_FLOATS`-element strip
-    of x's flat view, where t = tanh(c*(x + a*x*x*x)) fills one reused
-    buffer with that expression's left-to-right arithmetic, so forward and
-    backward get the same bits."""
-    xf = xd.reshape(-1)
-    tb = np.empty(min(xf.size, _STRIP_FLOATS), dtype=xd.dtype)
-    for s0 in range(0, xf.size, _STRIP_FLOATS):
-        xs = xf[s0 : s0 + _STRIP_FLOATS]
-        t = np.multiply(xs, _GELU_A, out=tb[: xs.size])
-        t *= xs
-        t *= xs
-        t += xs
-        t *= _GELU_C
-        np.tanh(t, out=t)
-        yield (xs, t, *(a[s0 : s0 + xs.size] for a in flat))
+def _gelu(x, t, y=None, d=None, tmp=None) -> None:
+    """tanh-form GELU of x, elementwise, in the one order of operations
+    that `gelu` and `conv2d` share, so every caller gets the same bits:
+
+        t = tanh(c*(x + a*x*x*x))                          (t: scratch)
+        y = 0.5*x * (1 + t)                                if y is given
+        d = 0.5*x*c*(1 + 3a*x*x) * (1 - t*t) + 0.5*(1 + t)  if d is given
+
+    d is GELU'(x), from the same tanh as y; tmp is its scratch and may be
+    y unless y is x. Every array has x's shape, and y may be x itself.
+    """
+    np.multiply(x, _GELU_A, out=t)
+    t *= x
+    t *= x
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    if d is not None:
+        np.multiply(x, x, out=d)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_C
+        d *= x
+        d *= 0.5
+        np.multiply(t, t, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        d *= tmp
+    t += 1.0
+    if y is not None:
+        np.multiply(x, 0.5, out=y)
+        y *= t
+    if d is not None:
+        t *= 0.5
+        d += t
+
+
+def _flat_strips(*arrays):
+    """Yield aligned `_STRIP_FLOATS`-element strips of the arrays' flat views."""
+    flat = [a.reshape(-1) for a in arrays]
+    for s0 in range(0, flat[0].size, _STRIP_FLOATS):
+        yield tuple(f[s0 : s0 + _STRIP_FLOATS] for f in flat)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -590,34 +665,25 @@ def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU (the common transformer variant): 0.5*x*(1 + t).
 
     The forward and the backward rule run in `_STRIP_FLOATS`-element strips
-    of the flat array (see `_gelu_strips`), so each pass stays in L2 and only
-    the output is plane-sized. The rule recomputes t; the tape keeps no copy.
+    of the flat array (`_gelu`), so each pass stays in L2 and only the
+    output is plane-sized. The rule recomputes t; the tape keeps no copy.
+    A GELU whose only reader is a conv is better fused into it
+    (`conv2d`'s gelu_input), so that its output plane never exists.
     """
     xd = x.data
     data = np.empty(xd.shape, dtype=xd.dtype)
-    for xs, t, out in _gelu_strips(xd, data.reshape(-1)):
-        t += 1.0
-        np.multiply(xs, 0.5, out=out)
-        out *= t
+    t = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
+    for xs, ys in _flat_strips(xd, data):
+        _gelu(xs, t[: xs.size], y=ys)
 
     def rule(g):
-        # 0.5*(1+t) + 0.5*x*(1-t*t)*c*(1+3a*x*x), times g
         gx = np.empty(xd.shape, dtype=xd.dtype)
-        db = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
-        for xs, t, gs, out in _gelu_strips(xd, g.reshape(-1), gx.reshape(-1)):
-            d = np.multiply(xs, xs, out=db[: xs.size])
-            d *= 3.0 * _GELU_A
-            d += 1.0
-            d *= _GELU_C
-            d *= xs
-            d *= 0.5
-            np.multiply(t, t, out=out)  # out is scratch until the last line
-            np.subtract(1.0, out, out=out)
-            d *= out
-            t += 1.0
-            t *= 0.5
-            d += t
-            np.multiply(d, gs, out=out)
+        t = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
+        d = np.empty_like(t)
+        for xs, gs, out in _flat_strips(xd, g, gx):
+            n = xs.size
+            _gelu(xs, t[:n], d=d[:n], tmp=out)  # out is scratch until the next line
+            np.multiply(d[:n], gs, out=out)
         _accumulate(x, gx)
 
     return _emit(data, (x,), rule)

@@ -183,8 +183,8 @@ def test_flops_estimate_matches_counted_macs(monkeypatch, cfg):
 
     macs = []
 
-    def counting_conv2d(x, w, bias, stride=1, padding=0, residuals=()):
-        out = tensor.conv2d(x, w, bias, stride, padding, residuals)
+    def counting_conv2d(x, w, bias, stride=1, padding=0, residuals=(), gelu_input=False):
+        out = tensor.conv2d(x, w, bias, stride, padding, residuals, gelu_input)
         n, _, ho, wo = out.shape
         macs.append(n * ho * wo * w.size)
         return out

@@ -233,22 +233,40 @@ ENC_CONV1, ENC_CONV2 = ((40, 3, 3, 3), 2), ((80, 40, 3, 3), 2)
 HEAD = ((3, 16, 3, 3), 1)  # more input than output channels
 
 
-@pytest.mark.parametrize(
-    "n,h,w,conv,multi_strip",
-    [(1, 64, 64, c, False) for c in MODEL_CONVS]
-    + [(1, 37, 53, c, False) for c in MODEL_CONVS]
+# the convs that read a GELU in the model (`conv2d`'s gelu_input)
+GELU_CONVS = [DW16, FULL1X1_16, ENC_CONV2]
+
+
+TAPS_CASES = (
+    [(1, 64, 64, c, False, False) for c in MODEL_CONVS]
+    + [(1, 37, 53, c, False, False) for c in MODEL_CONVS]
     + [
         # two or more strips, the last one ragged
-        (1, 63, 130, DW16, True),  # the last strip is one row
-        (1, 70, 130, ENC_CONV1, True),
-        (1, 70, 130, DW16, True),
-        (1, 70, 50, ENC_CONV2, True),
-        (1, 70, 130, FULL1X1_16, True),  # no junk columns: taps accumulate in the output
-        (1, 70, 130, STEM, True),
-        (1, 70, 130, HEAD, True),
+        (1, 63, 130, DW16, True, False),  # the last strip is one row
+        (1, 70, 130, ENC_CONV1, True, False),
+        (1, 70, 130, DW16, True, False),
+        (1, 70, 50, ENC_CONV2, True, False),
+        # no junk columns: taps accumulate in the output
+        (1, 70, 130, FULL1X1_16, True, False),
+        (1, 70, 130, STEM, True, False),
+        (1, 70, 130, HEAD, True, False),
+    ]
+    # each conv that reads a GELU, in one strip and across strips
+    + [(1, 37, 53, c, False, True) for c in GELU_CONVS]
+    + [(1, 70, 130, DW16, True, True), (1, 70, 50, ENC_CONV2, True, True)]
+    + [(1, 70, 130, FULL1X1_16, True, True)]
+)
+
+
+@pytest.mark.parametrize(
+    "n,h,w,conv,multi_strip,gelu_input",
+    TAPS_CASES,
+    ids=[  # as pytest names them, plus "-gelu" for a fused GELU
+        f"{n}-{h}-{w}-conv{i}-{multi}" + ("-gelu" if fused else "")
+        for i, (n, h, w, _, multi, fused) in enumerate(TAPS_CASES)
     ],
 )
-def test_conv_matches_taps_reference(monkeypatch, n, h, w, conv, multi_strip):
+def test_conv_matches_taps_reference(monkeypatch, n, h, w, conv, multi_strip, gelu_input):
     wshape, stride = conv
     cout, cpg, k, _ = wshape
     depthwise = cpg == 1  # no conv in the model is full with one input channel
@@ -265,7 +283,13 @@ def test_conv_matches_taps_reference(monkeypatch, n, h, w, conv, multi_strip):
         rows_per_strip = tensor._strip_rows(cin, cout, wq)
         ho = tensor.conv_output_size(h, k, stride, padding)
         assert ho > rows_per_strip and ho % rows_per_strip, "want >= 2 strips, last ragged"
-    out = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding).data
+    out = conv2d(
+        Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding, gelu_input=gelu_input
+    ).data
+    if gelu_input:  # the same bits as a conv of the GELU's output
+        x = gelu(Tensor(x)).data
+        unfused = conv2d(Tensor(x), Tensor(wt), Tensor(b), stride=stride, padding=padding)
+        np.testing.assert_array_equal(out, unfused.data)
     if depthwise:
         np.testing.assert_array_equal(out, conv2d_taps_reference(x, wt, b, stride, padding))
     else:
@@ -280,25 +304,30 @@ def test_conv_matches_taps_reference(monkeypatch, n, h, w, conv, multi_strip):
 
 
 @pytest.mark.parametrize(
-    "n,h,w,conv",
+    "n,h,w,conv,gelu_input",
     [
-        (1, 70, 130, DW16),
-        (1, 70, 130, HEAD),
-        (1, 70, 50, ENC_CONV2),
-        (1, 70, 130, FULL1X1_16),
+        (1, 70, 130, DW16, False),
+        (1, 70, 130, HEAD, False),
+        (1, 70, 50, ENC_CONV2, False),
+        (1, 70, 130, FULL1X1_16, False),
         # stride 2 at odd and even sizes
-        (1, 37, 53, ((6, 1, 3, 3), 2)),
-        (1, 36, 52, ((6, 1, 3, 3), 2)),
-        (1, 37, 52, ((5, 3, 3, 3), 2)),
-        (1, 36, 53, ((5, 3, 3, 3), 2)),
+        (1, 37, 53, ((6, 1, 3, 3), 2), False),
+        (1, 36, 52, ((6, 1, 3, 3), 2), False),
+        (1, 37, 52, ((5, 3, 3, 3), 2), False),
+        (1, 36, 53, ((5, 3, 3, 3), 2), False),
+        # each conv that reads a GELU
+        (1, 70, 130, DW16, True),
+        (1, 70, 50, ENC_CONV2, True),
+        (1, 70, 130, FULL1X1_16, True),
     ],
     ids=[
         "depthwise", "full3x3", "full3x3-stride2", "1x1",
         "depthwise-stride2-odd", "depthwise-stride2-even",
         "full3x3-stride2-odd-h", "full3x3-stride2-odd-w",
+        "depthwise-gelu", "full3x3-stride2-gelu", "1x1-gelu",
     ],
 )
-def test_conv_gradients_across_strips_match_one_strip(monkeypatch, n, h, w, conv):
+def test_conv_gradients_across_strips_match_one_strip(monkeypatch, n, h, w, conv, gelu_input):
     wshape, stride = conv
     cout, cpg, k, _ = wshape
     cin = cout if cpg == 1 else cpg
@@ -313,20 +342,38 @@ def test_conv_gradients_across_strips_match_one_strip(monkeypatch, n, h, w, conv
     monkeypatch.setattr(tensor, "_STRIP_FLOATS", 8 * max(cin, cout) * wq)
     assert tensor._strip_rows(cin, cout, wq) == 8 and ho > 8 and ho % 8
 
-    def grads():
+    # a fused GELU's conv takes a residual, as the PEM's 1x1 convs do
+    ro = tensor.conv_output_size(w, k, stride, padding)
+    r = rng.standard_normal((n, cout, ho, ro)).astype(np.float32) if gelu_input else None
+    labels = ("gx", "gw", "gb") + (("gr",) if gelu_input else ())
+
+    def grads(fused=True):
         xt, wt_, bt = parameter(x), parameter(wt), parameter(b)
+        rs = () if r is None else (parameter(r),)
         with Tape() as tape:
-            y = conv2d(xt, wt_, bt, stride=stride, padding=padding)
+            if fused:
+                y = conv2d(xt, wt_, bt, stride, padding, rs, gelu_input)
+            else:
+                y = conv2d(gelu(xt), wt_, bt, stride, padding, rs)
             # a fixed upstream gradient, so the rules see the same g on both runs
             gy = np.random.default_rng(3).standard_normal(y.shape).astype(np.float32)
             tape.backward((y * Tensor(gy)).sum())
-        return y.data, xt.grad, wt_.grad, bt.grad
+        return y.data, xt.grad, wt_.grad, bt.grad, *(t.grad for t in rs)
 
-    y_strips, *g_strips = grads()
+    def fused_grads():
+        """The fused conv's output and gradients, bit-identical to a conv of
+        the GELU's output when it reads one."""
+        got = grads()
+        if gelu_input:
+            for label, a, ref in zip(("y",) + labels, got, grads(fused=False)):
+                np.testing.assert_array_equal(a, ref, err_msg=label)
+        return got
+
+    y_strips, *g_strips = fused_grads()
     monkeypatch.setattr(tensor, "_STRIP_FLOATS", 1 << 30)  # one strip
-    y_whole, *g_whole = grads()
+    y_whole, *g_whole = fused_grads()
     # the rule runs the same arithmetic on the same padded plane: exact
-    for label, a, ref in zip(("gx", "gw", "gb"), g_strips, g_whole):
+    for label, a, ref in zip(labels, g_strips, g_whole):
         np.testing.assert_array_equal(a, ref, err_msg=label)
     # BLAS may block a strip's gemm differently from the whole grid's
     np.testing.assert_allclose(y_strips, y_whole, rtol=1e-6, atol=1e-6)
@@ -356,7 +403,7 @@ def test_conv_residual_shape_mismatch():
         conv2d(x, w, b, residuals=(good, bad))
 
 
-CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width, height, residuals
+CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width, height, residuals, gelu
     (1, 3, 4, 3, 1, 1, 1, 6, 5, 0),  # full 3x3
     (1, 3, 4, 3, 2, 1, 1, 6, 5, 0),  # full 3x3, stride 2
     (1, 4, 4, 3, 2, 1, 4, 6, 5, 0),  # depthwise 3x3, stride 2
@@ -377,24 +424,30 @@ CONV_FD_CASES = [  # n, cin, cout, k, stride, padding, groups, width, height, re
     (1, 4, 4, 1, 1, 0, 1, 6, 5, 1),
     (1, 3, 4, 3, 2, 1, 1, 7, 5, 1),
     (1, 4, 4, 1, 1, 0, 1, 6, 5, 2),
+    # reading gelu(x) (`conv2d`'s gelu_input), as the model's convs after a GELU do
+    (1, 4, 4, 3, 1, 1, 4, 6, 5, 0, True),
+    (1, 4, 4, 1, 1, 0, 1, 6, 5, 1, True),
+    (1, 3, 4, 3, 2, 1, 1, 7, 5, 0, True),
 ]
 
 
 def conv_fd_id(case):
-    """The case's values, without a trailing default width 6, height 5 or
-    no residual."""
-    *head, width, height, residuals = case
+    """The case's values, without a trailing default width 6, height 5, no
+    residual or no GELU."""
+    *head, width, height, residuals = case[:10]
     tail = [width, height] if height != 5 else [width] if width != 6 else []
     suffix = {0: "", 1: "-residual"}.get(residuals, f"-{residuals}residuals")
-    return "-".join(map(str, head + tail)) + suffix
+    return "-".join(map(str, head + tail)) + suffix + ("-gelu" if case[10:] else "")
 
 
 @pytest.mark.parametrize(
-    "n,cin,cout,k,stride,padding,groups,width,height,residuals",
-    CONV_FD_CASES,
+    "n,cin,cout,k,stride,padding,groups,width,height,residuals,gelu_input",
+    [c[:10] + (c[10:] != (),) for c in CONV_FD_CASES],
     ids=[conv_fd_id(c) for c in CONV_FD_CASES],
 )
-def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width, height, residuals):
+def test_conv_gradients_match_fd(
+    n, cin, cout, k, stride, padding, groups, width, height, residuals, gelu_input
+):
     rng = np.random.default_rng(11)
     x = p64((n, cin, height, width), rng)
     w = p64((cout, cin // groups, k, k), rng, 0.5)
@@ -404,7 +457,7 @@ def test_conv_gradients_match_fd(n, cin, cout, k, stride, padding, groups, width
     rs = tuple(p64((n, cout, ho, wo), rng) for _ in range(residuals))
 
     def fwd():
-        y = conv2d(x, w, b, stride=stride, padding=padding, residuals=rs)
+        y = conv2d(x, w, b, stride, padding, rs, gelu_input)
         return (y * y).sum()
 
     leaves = [x, w, b, *rs]

@@ -514,31 +514,49 @@ def _rule_private_arrays(tape: Tape) -> list[np.ndarray]:
     return [a for a in arrays if id(_owner(a)) not in owned]
 
 
-def _sample_tape_private_shapes(monkeypatch, size) -> list[tuple]:
-    """Shapes of the private arrays of one default-model sample tape of a
-    size x size training step, taken as its backward starts."""
-    shapes = []
+def _sample_tape(monkeypatch, size, look):
+    """look(tape) of the one default-model sample tape of a size x size
+    training step, taken as its backward starts."""
+    seen = []
     backward = Tape.backward
 
     def inspected(tape, loss=None):
         if loss is not None:  # a sample tape, not the step tape
-            shapes.extend(sorted(a.shape for a in _rule_private_arrays(tape)))
+            seen.append(look(tape))
         return backward(tape, loss)
 
     with monkeypatch.context() as m:
         m.setattr(Tape, "backward", inspected)
         cfg = small_cfg(batch_size=1, steps=1, crop_size=size)
         train_loop(make_pairs(1, size=size), cfg, config=IATConfig())
-    return shapes
+    (result,) = seen
+    return result
+
+
+def _private_shapes(tape: Tape) -> list[tuple]:
+    return sorted(a.shape for a in _rule_private_arrays(tape))
 
 
 def test_sample_tape_keeps_no_plane_of_its_own(monkeypatch):
     # a rule keeps nothing that grows with the image beyond the op outputs and
     # leaves it reads: no padded copy of a conv input, no clamped copy of the
     # power's base. What it may keep (per-tap weights) is the same at any size
-    at_64 = _sample_tape_private_shapes(monkeypatch, 64)
-    assert at_64 == _sample_tape_private_shapes(monkeypatch, 32), at_64
+    at_64 = _sample_tape(monkeypatch, 64, _private_shapes)
+    assert at_64 == _sample_tape(monkeypatch, 32, _private_shapes), at_64
     assert all(math.prod(shape) < 16 * 64 * 64 for shape in at_64), at_64
+
+
+def test_sample_tape_keeps_pre_activations_only(monkeypatch):
+    # each GELU of the local stacks and the one after encoder conv1 is fused
+    # into the conv that reads it, so only the encoder's output GELU and the
+    # FFN's are ops of their own: 105 ops where 124 kept every GELU's output
+    def look(tape):
+        gelus = [out.shape for out, rule in tape._ops if rule.__qualname__.startswith("gelu.")]
+        return len(tape), sorted(gelus)
+
+    ops, gelus = _sample_tape(monkeypatch, 64, look)
+    assert ops == 105
+    assert gelus == [(1, 80, 16, 16), (10, 160)]
 
 
 def test_metrics_csv_format(tmp_path):
