@@ -24,10 +24,17 @@ from .model_global import (
     EncoderParams,
     GpmParams,
     encoder_forward,
+    fold_gpm,
     global_branch_init,
     gpm_forward,
 )
-from .model_local import Conv2d, LocalBranchParams, local_branch_forward, local_branch_init
+from .model_local import (
+    Conv2d,
+    LocalBranchParams,
+    fold_local,
+    local_branch_forward,
+    local_branch_init,
+)
 from .tensor import Tensor, conv_output_size
 
 CHECKPOINT_MAGIC = b"IATC"
@@ -54,7 +61,7 @@ class IATConfig:
 class IATParams:
     local: LocalBranchParams
     encoder: EncoderParams
-    gpm: GpmParams
+    gpm: GpmParams  # or FoldedGpm, see `fold`
 
     @property
     def config(self) -> IATConfig:
@@ -72,6 +79,16 @@ def iat_init(config: IATConfig = IATConfig(), rng=None, dtype=np.float32) -> IAT
     local = local_branch_init(config.channels, config.blocks, rng, dtype)
     encoder, gpm = global_branch_init(config.d, rng, dtype)
     return IATParams(local=local, encoder=encoder, gpm=gpm)
+
+
+def fold(p: IATParams) -> IATParams:
+    """The model with both branches' parameter-only products formed
+    (`fold_local`, `fold_gpm`); a folded branch is kept as it is. Each
+    forward folds what comes unfolded, so folding first lets any number of
+    images run from one set of folded weights: a training step folds once,
+    on a tape of its own (see `train_loop`).
+    """
+    return dataclasses.replace(p, local=fold_local(p.local), gpm=fold_gpm(p.gpm))
 
 
 def iat_forward(img: Tensor, p: IATParams) -> tuple[Tensor, Tensor]:
@@ -146,11 +163,15 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     Counts convolutions, linear projections and attention products, like
     standard profilers; activations are excluded. A conv costs its weight
     size per output pixel: every local conv keeps the image size, and each
-    encoder conv's output size comes from its stride and kernel. The
-    prediction module's matmuls cost their weight sizes per key/value pixel
-    or per query token. Left out: the O(C^3) matmuls that fold each block's
-    norms and layer scales into its convs (`fold_pem`; no per-pixel cost)
-    and the 9 MACs per pixel of the color-matrix product in `compose_iat`.
+    encoder conv's output size comes from its stride and kernel. In the
+    prediction module the positional conv costs its weight size per feature
+    pixel, the scores and the attention-weighted sum each cost the queries'
+    size per feature pixel, and every projection (W_k and W_v too, since the
+    attention is reassociated: `cross_attention`), the FFN and the heads
+    cost their weight sizes per query token. Left out: the O(C^3) matmuls
+    that fold each block's norms and layer scales into its convs
+    (`fold_pem`; no per-pixel cost) and the 9 MACs per pixel of the
+    color-matrix product in `compose_iat`.
     The published counting convention is unknown, so this estimator
     documents its own; `estimate_flops` is its "total".
     """
@@ -168,9 +189,10 @@ def estimate_flops_detail(config: IATConfig, height: int, width: int) -> dict:
     kv_px = h * w
     tokens = g.queries.shape[0]
     attn_macs = (
-        kv_px * (g.pos_dw.weight.size + g.w_k.size + g.w_v.size)  # positional conv, K, V
+        kv_px * g.pos_dw.weight.size  # positional conv
         + 2 * kv_px * g.queries.size  # scores and attention-weighted values
-        + tokens * (g.w_out.size + g.ffn1_w.size + g.ffn2_w.size)  # output projection, FFN
+        + tokens * (g.w_k.size + g.w_v.size + g.w_out.size)  # projections
+        + tokens * (g.ffn1_w.size + g.ffn2_w.size)  # FFN
         + (tokens - 1) * g.head_color_w.size  # decoding heads: color tokens ...
         + g.head_gamma_w.size  # ... and the one gamma token
     )

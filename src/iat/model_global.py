@@ -7,6 +7,12 @@ a depthwise convolution), pass through a two-layer FFN, and two linear heads
 decode nine of the query outputs into a residual on the identity color
 matrix and the tenth into a residual on gamma = 1.
 
+The module runs folded, as the local branch's blocks do (`fold_gpm`): K and
+V are read only through the ten query rows, so W_k and W_v act on those rows
+instead of on every feature pixel (`cross_attention`), and the positional
+residual and the encoder's output GELU run inside pos_dw. So neither K, V
+nor the GELU of the features is ever a plane.
+
 With the queries and heads at zero the branch emits exactly (identity
 matrix, gamma 1) for every input, so the whole model starts as the identity.
 """
@@ -18,7 +24,7 @@ import numpy as np
 
 from .errors import InputError
 from .isp import GlobalParams
-from .model_local import Conv2d, kaiming_conv
+from .model_local import Conv2d, fold_identity, kaiming_conv
 from .tensor import (
     Tensor,
     gelu,
@@ -91,30 +97,59 @@ def global_branch_init(d: int, rng, dtype=np.float32):
 
 
 def encoder_forward(img: Tensor, p: EncoderParams) -> Tensor:
-    """(1, 3, H, W) -> (1, d, ceil(H/4), ceil(W/4)); needs H, W >= MIN_SIZE."""
+    """(1, 3, H, W) -> (1, d, ceil(H/4), ceil(W/4)); needs H, W >= MIN_SIZE.
+
+    Returns conv2's pre-activation: the features are its GELU, which the
+    prediction module's first conv applies as it reads them (`cross_attention`).
+    """
     if img.ndim != 4 or img.shape[1] != 3:
         raise InputError(f"encoder expects (1, 3, H, W), got {img.shape}")
     _, _, h, w = img.shape
     if h < MIN_SIZE or w < MIN_SIZE:
         raise InputError(f"image {h}x{w} is smaller than the {MIN_SIZE}x{MIN_SIZE} encoder minimum")
-    return gelu(p.conv2(p.conv1(img), gelu_input=True))
+    return p.conv2(p.conv1(img), gelu_input=True)
 
 
-def cross_attention(queries: Tensor, feats: Tensor, p: GpmParams) -> Tensor:
-    """Single-head attention of query embeddings over encoder features.
+@dataclass
+class FoldedGpm:
+    """The prediction module as its forward reads it (see `fold_gpm`)."""
 
-    K and V come from the features plus their depthwise positional encoding;
-    the raw queries join the attended output through a residual.
+    pos_dw: Conv2d  # 3x3 depthwise, +1 on the centre tap
+    q_k: Tensor  # (10, d): queries W_k^T / sqrt(d)
+    params: GpmParams  # unfolded; the queries, W_v, W_out, FFN and heads are read as they are
+
+
+def fold_gpm(p: GpmParams | FoldedGpm) -> FoldedGpm:
+    """The module with its parameter-only products formed, on the tape so
+    gradients flow back: the positional residual as +1 on pos_dw's centre
+    tap (`fold_identity`), and q W_k^T / sqrt(d). A folded module is
+    returned as it is.
     """
-    d = queries.shape[1]
-    _, _, h, w = feats.shape
-    kv = feats + p.pos_dw(feats)
-    kv = permute(reshape(kv, (d, h * w)), (1, 0))  # (HW, d)
-    k = matmul(kv, p.w_k)
-    v = matmul(kv, p.w_v)
-    scores = matmul(queries, permute(k, (1, 0))) * (1.0 / math.sqrt(d))
-    attn = softmax(scores)  # rows over the HW positions
-    return matmul(matmul(attn, v), p.w_out) + queries
+    if isinstance(p, FoldedGpm):
+        return p
+    d = p.queries.shape[1]
+    q_k = matmul(p.queries, permute(p.w_k, (1, 0))) * (1.0 / math.sqrt(d))
+    return FoldedGpm(pos_dw=fold_identity(p.pos_dw), q_k=q_k, params=p)
+
+
+def cross_attention(pre: Tensor, f: FoldedGpm) -> Tensor:
+    """Single-head attention of the queries over the encoder features
+    gelu(pre), reassociated (the weight absorption of multi-head latent
+    attention):
+
+        kv     = gelu(pre) + pos_dw(gelu(pre)), as (HW, d)     one conv
+        scores = (q W_k^T / sqrt(d)) kv^T                      (10, HW)
+        out    = (softmax(scores) kv) W_v W_out + q
+
+    which is softmax(q K^T / sqrt(d)) V W_out + q for K = kv W_k and
+    V = kv W_v, with the raw queries q as a residual.
+    """
+    d = f.q_k.shape[1]
+    _, _, h, w = pre.shape
+    kv_t = reshape(f.pos_dw(pre, gelu_input=True), (d, h * w))  # the conv's layout
+    attn = softmax(matmul(f.q_k, kv_t))  # rows over the HW positions
+    p = f.params
+    return matmul(matmul(matmul(attn, permute(kv_t, (1, 0))), p.w_v), p.w_out) + p.queries
 
 
 def shifted_softplus(delta: Tensor) -> Tensor:
@@ -128,9 +163,14 @@ def shifted_softplus(delta: Tensor) -> Tensor:
     return softplus(delta * 2.0) + shift
 
 
-def gpm_forward(feats: Tensor, p: GpmParams) -> GlobalParams:
-    """Decode (color matrix, gamma) from encoder features."""
-    t = cross_attention(p.queries, feats, p)
+def gpm_forward(pre: Tensor, p: GpmParams | FoldedGpm) -> GlobalParams:
+    """Decode (color matrix, gamma) from the encoder's output (conv2's
+    pre-activation, see `encoder_forward`). The module is folded first
+    (`fold_gpm`) unless it comes folded.
+    """
+    f = fold_gpm(p)
+    t = cross_attention(pre, f)
+    p = f.params
     t = matmul(gelu(matmul(t, p.ffn1_w) + p.ffn1_b), p.ffn2_w) + p.ffn2_b
     color_tokens = narrow(t, 0, 0, 9)
     gamma_token = narrow(t, 0, 9, 1)

@@ -169,19 +169,24 @@ class FoldedPem:
     mix2: Conv2d  # 1x1, k_channel folded in
 
 
+def fold_identity(conv: Conv2d) -> Conv2d:
+    """The depthwise conv equal to x + conv(x): +1 on its centre tap."""
+    w = conv.weight
+    centre = np.zeros(w.shape, dtype=w.dtype)
+    centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
+    return replace(conv, weight=w + Tensor(centre))
+
+
 def fold_pem(p: PemParams) -> FoldedPem:
     """The block's convs with its linear pieces folded into their weights
     (structural re-parameterization): the positional residual is +1 on
-    pos_dw's centre tap, each norm is composed into the 1x1 after it
-    (`fold_norm`), and each layer scale into the 1x1 before it
+    pos_dw's centre tap (`fold_identity`), each norm is composed into the
+    1x1 after it (`fold_norm`), and each layer scale into the 1x1 before it
     (`fold_scale`). Built from ops on (C, C) weights that read parameters
     only, so gradients flow back to every parameter of the block.
     """
-    w = p.pos_dw.weight
-    centre = np.zeros(w.shape, dtype=w.dtype)
-    centre[:, :, w.shape[2] // 2, w.shape[3] // 2] = 1
     return FoldedPem(
-        pos_dw=replace(p.pos_dw, weight=w + Tensor(centre)),
+        pos_dw=fold_identity(p.pos_dw),
         pw1=fold_norm(p.norm1, p.pw1),
         dw=p.dw,
         pw2=fold_scale(p.scale.k_spatial, p.pw2),

@@ -6,15 +6,15 @@ convolution (full and depthwise) of one image with a bias, the product of two
 matrices, a clamped power op, relu/tanh/gelu, softmax, whole-tensor sums and
 means, and shape bookkeeping (reshape/permute/slice).
 
-The plane-sized passes run in strips of about `_STRIP_FLOATS` floats per
-array, so each pass rereads data in L2 instead of streaming whole planes:
-GELU forward and backward over the flat array (see `gelu`), and the conv
-forward in strips of output rows whose height counts both input and output
-channels (see `conv2d`). Each conv strip zero-pads only its own input rows,
-split into stride x stride phase planes; convolution taps read contiguous 1-d
-windows of those flat planes. A conv can read the GELU of its input, applied
-as each strip fills (`conv2d`'s gelu_input), so a GELU whose only reader is
-a conv never writes a plane and a tape keeps the pre-activation alone.
+The conv forward runs in strips of output rows whose height counts both
+input and output channels, about `_STRIP_FLOATS` floats per array, so each
+pass rereads data in L2 instead of streaming whole planes (see `conv2d`).
+Each strip zero-pads only its own input rows, split into stride x stride
+phase planes; convolution taps read contiguous 1-d windows of those flat
+planes. A conv can read the GELU of its input, applied as each strip fills
+(`conv2d`'s gelu_input). The model reads every GELU over a plane that way,
+so no GELU writes a plane and a tape keeps the pre-activation alone; the
+`gelu` op is left to the small matrices of the prediction module's FFN.
 
 Recording model: each op computes its output one way, whether or not a tape
 records it, and hands `_emit` one backward rule. The rule is the only
@@ -308,9 +308,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution (direct shift-and-add over flat windows; no im2col, no FFT)
 
-# A strip of a full-plane pass covers as many elements (GELU) or output rows
-# (conv2d) as keep its working set near this many floats per array, so the
-# pass rereads data that sits in L2 instead of streaming whole planes.
+# A conv2d strip covers as many output rows as keep its working set near this
+# many floats per array, so the pass rereads data that sits in L2 instead of
+# streaming whole planes.
 _STRIP_FLOATS = 1 << 17
 
 
@@ -634,13 +634,6 @@ def _gelu(x, t, y=None, d=None, tmp=None) -> None:
         d += t
 
 
-def _flat_strips(*arrays):
-    """Yield aligned `_STRIP_FLOATS`-element strips of the arrays' flat views."""
-    flat = [a.reshape(-1) for a in arrays]
-    for s0 in range(0, flat[0].size, _STRIP_FLOATS):
-        yield tuple(f[s0 : s0 + _STRIP_FLOATS] for f in flat)
-
-
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); gradient 0 at x == 0."""
     xd = x.data
@@ -664,26 +657,18 @@ def tanh(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """tanh-form GELU (the common transformer variant): 0.5*x*(1 + t).
 
-    The forward and the backward rule run in `_STRIP_FLOATS`-element strips
-    of the flat array (`_gelu`), so each pass stays in L2 and only the
-    output is plane-sized. The rule recomputes t; the tape keeps no copy.
-    A GELU whose only reader is a conv is better fused into it
-    (`conv2d`'s gelu_input), so that its output plane never exists.
+    The rule recomputes t (`_gelu`); the tape keeps no copy. A GELU whose
+    reader is a conv is fused into it instead (`conv2d`'s gelu_input), so
+    that its output plane never exists: this op is for small arrays.
     """
     xd = x.data
-    data = np.empty(xd.shape, dtype=xd.dtype)
-    t = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
-    for xs, ys in _flat_strips(xd, data):
-        _gelu(xs, t[: xs.size], y=ys)
+    data = np.empty_like(xd)
+    _gelu(xd, np.empty_like(xd), y=data)
 
     def rule(g):
-        gx = np.empty(xd.shape, dtype=xd.dtype)
-        t = np.empty(min(xd.size, _STRIP_FLOATS), dtype=xd.dtype)
-        d = np.empty_like(t)
-        for xs, gs, out in _flat_strips(xd, g, gx):
-            n = xs.size
-            _gelu(xs, t[:n], d=d[:n], tmp=out)  # out is scratch until the next line
-            np.multiply(d[:n], gs, out=out)
+        d, gx = np.empty_like(xd), np.empty_like(xd)
+        _gelu(xd, np.empty_like(xd), d=d, tmp=gx)  # gx is scratch until the next line
+        np.multiply(d, g, out=gx)
         _accumulate(x, gx)
 
     return _emit(data, (x,), rule)

@@ -15,15 +15,14 @@ learning-rate schedule from lr0 down to zero, no warmup.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ShapeError, TrainingDiverged
 from .fileio import atomic_open
 from .image_io import ImageRGB, image_to_tensor, tensor_to_image
-from .model import IATConfig, IATParams, iat_forward, iat_init, named_parameters
-from .model_local import fold_local
+from .model import IATConfig, IATParams, fold, iat_forward, iat_init, named_parameters
 from .rng import philox
 from .tensor import Tape, Tensor, absolute, narrow
 
@@ -269,9 +268,11 @@ def train_loop(
 ) -> tuple[IATParams, list[LogRow]]:
     """Shuffled minibatches of random crops/flips; returns best-PSNR params.
 
-    A step draws its batch's crops and flips in batch order and folds every
-    PEM once (`fold_local`) on a step tape. It then runs each sample on a
-    tape of its own: forward from the folded weights, loss, and backward of
+    A step draws its batch's crops and flips in batch order and folds the
+    model once (`fold`: every PEM, and the prediction module's centre tap and
+    q W_k^T) on a step tape, so no sample's tape holds an op that reads
+    parameters only. It then runs each sample on a tape of its own: forward
+    from the folded weights, loss, and backward of
     loss * (1/len(batch)), which adds that sample's share into the
     parameters' .grad and into the folded weights' .grad. Backward frees the
     tape as it walks it, so a step holds one sample's graph at any batch
@@ -326,7 +327,7 @@ def train_loop(
             batch.append(samples[order.pop()])
         crops = [_crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng) for s in batch]
         with Tape() as step_tape:
-            folded = replace(params, local=fold_local(params.local))
+            folded = fold(params)
         losses = [None] * len(batch)
         for i in reversed(range(len(batch))):
             inp, tgt, raw = crops[i]

@@ -297,15 +297,17 @@ def test_branch_gradients_match_reference_bits():
 
 def test_forward_plane_budget():
     # the untaped local branch runs in bands, so its 16-channel planes are
-    # band-sized: 1.87 planes at 400x600, mostly one band's. At 800x1200 the
-    # prediction module sets the peak, the encoder features plus the pos_dw
-    # output, kv, K and V (22.5 H W floats): 1.41 planes. The encoder stays
-    # below it at 16 H W floats, as conv2 applies the GELU of conv1's output
-    # while it reads it. Running the local branch first would add its
-    # whole-image maps (1.78); one band reached 4.3, and keeping block
+    # band-sized: 1.87 planes at 400x600, mostly one band's. At 800x1200
+    # compose_iat sets the peak with the whole-image maps, f and the output
+    # (18.0 H W floats): 1.13 planes. The other stages stay below it: the
+    # encoder at 15.9 H W floats, the local branch at 17.5 and the prediction
+    # module at 12.5, the encoder output plus kv, since its pos_dw applies the
+    # encoder's output GELU as it reads it and K and V are never planes (22.5
+    # and 1.41 planes with both). Running the local branch first would add
+    # its whole-image maps (1.78); one band reached 4.3, and keeping block
     # inputs or gain features alive about 7
     p = iat_init(rng=philox(24))
-    for (h, w), planes in (((400, 600), 2.0), ((800, 1200), 1.45)):
+    for (h, w), planes in (((400, 600), 2.0), ((800, 1200), 1.15)):
         img = Tensor(np.random.default_rng(25).uniform(0, 1, (1, 3, h, w)).astype(np.float32))
         tracemalloc.start()
         try:

@@ -572,8 +572,8 @@ def test_activation_gradients_match_fd(op):
 
 
 def gelu_whole_array(xd, g):
-    """GELU's output and input gradient in whole-array passes, the arithmetic
-    gelu runs strip by strip."""
+    """GELU's output and input gradient written out pass by pass, in the
+    order of operations that `gelu` runs (`_gelu`)."""
     a, c = tensor._GELU_A, tensor._GELU_C
 
     def tanh_part():
@@ -602,15 +602,8 @@ def gelu_whole_array(xd, g):
     return y, d
 
 
-S = tensor._STRIP_FLOATS
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize(
-    "shape",
-    [(2, 3, 5, 7), (2, 4, S // 16, 4), (1, 4, S // 8, 3)],  # 210 floats, 2 and 1.5 strips
-    ids=["one-strip", "two-strips", "ragged-last-strip"],
-)
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7)], ids=["one-strip"])
 def test_gelu_strips_match_whole_array(shape, dtype):
     rng = np.random.default_rng(len(shape) + shape[2])
     xd = (3.0 * rng.standard_normal(shape)).astype(dtype)

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +10,7 @@ from iat.errors import ConfigurationError, ContractError, ShapeError, TrainingDi
 from iat.image_io import ImageRGB
 from iat.isp import degrade, sample_degradation
 from iat import tensor, training
-from iat.model import IATConfig, iat_forward, iat_init, named_parameters
-from iat.model_local import fold_local
+from iat.model import IATConfig, fold, iat_forward, iat_init, named_parameters
 from iat.rng import philox
 from iat.tensor import Tape, Tensor, parameter
 from iat.training import (
@@ -383,8 +381,8 @@ def test_train_loop_nan_sample_clears_grads():
 
 
 def train_loop_one_tape(samples, cfg, config):
-    """Reference step: the whole batch on one tape, the PEM folds first and
-    shared by every sample, one backward per step."""
+    """Reference step: the whole batch on one tape, the model's folds first
+    and shared by every sample, one backward per step."""
     params = iat_init(config, rng=philox(cfg.seed, 0))
     named = list(named_parameters(params))
     state = AdamState()
@@ -399,7 +397,7 @@ def train_loop_one_tape(samples, cfg, config):
                 order = list(data_rng.permutation(len(samples)))
             batch.append(samples[order.pop()])
         with Tape() as tape:
-            folded = replace(params, local=fold_local(params.local))
+            folded = fold(params)
             total = None
             for s in batch:
                 inp, tgt, raw = _crop_and_flip(s, cfg.crop_size, cfg.hflip, cfg.vflip, data_rng)
@@ -547,16 +545,17 @@ def test_sample_tape_keeps_no_plane_of_its_own(monkeypatch):
 
 
 def test_sample_tape_keeps_pre_activations_only(monkeypatch):
-    # each GELU of the local stacks and the one after encoder conv1 is fused
-    # into the conv that reads it, so only the encoder's output GELU and the
-    # FFN's are ops of their own: 105 ops where 124 kept every GELU's output
+    # each GELU over a plane is fused into the conv that reads it (the local
+    # stacks', the encoder's two, the last read by the prediction module's
+    # folded pos_dw), so only the FFN's is an op of its own: 100 ops where 124
+    # kept every GELU's output and 105 also the encoder output's GELU, K and V
     def look(tape):
         gelus = [out.shape for out, rule in tape._ops if rule.__qualname__.startswith("gelu.")]
         return len(tape), sorted(gelus)
 
     ops, gelus = _sample_tape(monkeypatch, 64, look)
-    assert ops == 105
-    assert gelus == [(1, 80, 16, 16), (10, 160)]
+    assert ops == 100
+    assert gelus == [(10, 160)]
 
 
 def test_metrics_csv_format(tmp_path):
