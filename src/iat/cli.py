@@ -45,17 +45,8 @@ EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2
 IMAGE_SUFFIXES = (".png", ".ppm")
 
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-# config-file key -> field type; model and training keys share one file
-FIELD_TYPES = {
-    f.name: f.type for cls in (IATConfig, TrainConfig) for f in dataclasses.fields(cls)
-}
-# the JSON values each field type takes, and how an error names them
-JSON_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
+# model and training keys share one config file
+CONFIG_KEYS = {f.name for cls in (IATConfig, TrainConfig) for f in dataclasses.fields(cls)}
 
 
 class UsageError(Exception):
@@ -70,34 +61,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _list_images(path: Path) -> list[Path]:
+def _list_images(flag: str, path: str) -> list[Path]:
+    path = Path(path)
+    if not path.exists():
+        raise UsageError(f"{flag} {path} does not exist")
     if path.is_dir():
         return sorted(p for p in path.iterdir() if p.suffix.lower() in IMAGE_SUFFIXES)
     return [path]
 
 
-def _load_json_config(path) -> dict:
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as e:
-        raise UsageError(f"cannot read config {path}: {e}") from None
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must be a JSON object")
-    unknown = set(cfg) - set(FIELD_TYPES)
-    if unknown:
-        raise UsageError(f"config {path} has unknown keys: {sorted(unknown)}")
-    for key, value in cfg.items():
-        typ = FIELD_TYPES[key]
-        accepted, name = JSON_TYPES[typ]
-        # bool is an int subclass, so it is ruled in or out on its own
-        if not isinstance(value, accepted) or isinstance(value, bool) != (typ is bool):
-            raise UsageError(f"config {path}: {key} must be {name}, got {json.dumps(value)}")
-    return {key: FIELD_TYPES[key](value) for key, value in cfg.items()}
-
-
 def _from_keys(cls, values: dict):
     """`cls` with the fields `values` names; the rest keep their defaults."""
     return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
+
+
+def _load_configs(args) -> tuple[IATConfig, TrainConfig]:
+    """The model and training configs from --config plus the training flags,
+    which win. The configs check their own values; a rejected one is a usage
+    error.
+    """
+    values = {}
+    if args.config:
+        try:
+            values = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as e:
+            raise UsageError(f"cannot read config {args.config}: {e}") from None
+        if not isinstance(values, dict):
+            raise UsageError(f"config {args.config} must be a JSON object")
+        unknown = values.keys() - CONFIG_KEYS
+        if unknown:
+            raise UsageError(f"config {args.config} has unknown keys: {sorted(unknown)}")
+    values.update({k: getattr(args, k) for k in TRAIN_KEYS if getattr(args, k, None) is not None})
+    try:
+        return _from_keys(IATConfig, values), _from_keys(TrainConfig, values)
+    except ConfigurationError as e:
+        raise UsageError(str(e)) from None
 
 
 def _require_at_least(flag: str, value: int, minimum: int):
@@ -119,9 +117,7 @@ def _parse_resolution(text: str) -> tuple[int, int]:
 
 def cmd_enhance(args) -> int:
     _require_at_least("--threads", args.threads, 1)
-    if not Path(args.input).exists():
-        raise UsageError(f"--input {args.input} does not exist")
-    inputs = _list_images(Path(args.input))
+    inputs = _list_images("--input", args.input)
     if not inputs:
         raise UsageError(f"no images found in {args.input}")
     # a directory lists only image files; a single file's output keeps its
@@ -169,7 +165,7 @@ def cmd_enhance(args) -> int:
 def cmd_synthesize(args) -> int:
     _require_at_least("--count", args.count, 1)
     _require_at_least("--seed", args.seed, 0)
-    clean_paths = _list_images(Path(args.clean))
+    clean_paths = _list_images("--clean", args.clean)
     if not clean_paths:
         raise UsageError(f"no clean images found in {args.clean}")
     out_dir = Path(args.out)
@@ -202,17 +198,18 @@ def cmd_synthesize(args) -> int:
 def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
     directory = Path(directory)
     inputs = sorted(directory.glob("input_*"))
+    # (pair stem, lowercased suffix) -> target; of names that differ only in
+    # the suffix's case, the last in sorted order (the lowercase one) wins
+    targets = {
+        (p.stem[len("target_") :], p.suffix.lower()): p
+        for p in sorted(directory.glob("target_*"))
+    }
     samples = []
     for inp in inputs:
         if inp.suffix.lower() not in IMAGE_SUFFIXES:
             continue
         stem = inp.stem[len("input_") :]
-        target = None
-        for suffix in IMAGE_SUFFIXES:
-            cand = directory / f"target_{stem}{suffix}"
-            if cand.exists():
-                target = cand
-                break
+        target = next((targets[stem, s] for s in IMAGE_SUFFIXES if (stem, s) in targets), None)
         if target is None:
             print(f"warning: {inp.name} has no matching target, skipped", file=sys.stderr)
             continue
@@ -249,15 +246,7 @@ def evaluate(params, samples: list[Sample]) -> MetricReport:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_json_config(args.config) if args.config else {}
-    # flags win over the config file
-    flags = {k: getattr(args, k) for k in TRAIN_KEYS if getattr(args, k, None) is not None}
-    cfg = _from_keys(TrainConfig, {**file_cfg, **flags})
-    try:
-        cfg.validate()
-    except ConfigurationError as e:
-        raise UsageError(str(e)) from None
-
+    model_cfg, cfg = _load_configs(args)
     samples = discover_pairs(args.data, want_raw=cfg.loss == "mixed_raw")
     if not samples:
         raise UsageError(f"no input_*/target_* pairs found in {args.data}")
@@ -266,7 +255,6 @@ def cmd_train(args) -> int:
     if small:
         raise InputError(f"pairs below the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window: {small[:5]}")
 
-    model_cfg = _from_keys(IATConfig, file_cfg)
     params = None
     start_step = 0
     if args.resume:
@@ -326,7 +314,7 @@ def cmd_info(args) -> int:
     if args.checkpoint:
         params, step = load_checkpoint(args.checkpoint)
     else:
-        params = iat_init(_from_keys(IATConfig, _load_json_config(args.config)), rng=philox(0))
+        params = iat_init(_load_configs(args)[0], rng=philox(0))
     cfg = params.config
     try:
         flops = estimate_flops_detail(cfg, h, w)

@@ -41,18 +41,38 @@ CHECKPOINT_MAGIC = b"IATC"
 CHECKPOINT_VERSION = 1
 
 
+# how a type error names what a config field of each annotated type takes
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def check_field_types(config) -> None:
+    """The one rule for which values a config dataclass's fields take.
+
+    A bool field takes only a bool, an int field only an int, a float field
+    an int or a float, and a str field only a str. bool is an int subclass,
+    so neither number field takes one. Raises `ConfigurationError` naming
+    the first field that breaks the rule.
+    """
+    for f in dataclasses.fields(config):
+        v = getattr(config, f.name)
+        taken = (int, float) if f.type is float else f.type
+        if not isinstance(v, taken) or isinstance(v, bool) != (f.type is bool):
+            raise ConfigurationError(f"{f.name!r} must be {_TYPE_NAMES[f.type]}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class IATConfig:
-    """The model's sizes, checked here and nowhere else (a bool or 8.0 is not an int)."""
+    """The model's sizes, checked when built (see `check_field_types`)."""
 
     channels: int = 16  # PEM width
     blocks: int = 3  # PEMs per local stack
     d: int = 80  # attention width
 
     def __post_init__(self):
+        check_field_types(self)
         for key, low, even in (("channels", 1, False), ("blocks", 1, False), ("d", 8, True)):
             v = getattr(self, key)
-            if type(v) is not int or v < low or (even and v % 2):
+            if v < low or (even and v % 2):
                 kind = "an even integer" if even else "an integer"
                 raise ConfigurationError(f"model size {key!r} must be {kind} >= {low}, got {v!r}")
 

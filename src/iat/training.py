@@ -14,7 +14,6 @@ learning-rate schedule from lr0 down to zero, no warmup.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,15 +21,25 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, ShapeError, TrainingDiverged
 from .fileio import atomic_open
 from .image_io import ImageRGB, image_to_tensor, tensor_to_image
-from .model import IATConfig, IATParams, fold, iat_forward, iat_init, named_parameters
+from .model import (
+    IATConfig,
+    IATParams,
+    check_field_types,
+    fold,
+    iat_forward,
+    iat_init,
+    named_parameters,
+)
 from .rng import philox
 from .tensor import Tape, Tensor, absolute, narrow
 
 LOSS_KINDS = ("l1", "mixed", "mixed_raw")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The training hyper-parameters, checked when built (see `check_field_types`)."""
+
     lr0: float = 2e-4
     weight_decay: float = 1e-4
     batch_size: int = 8
@@ -44,26 +53,21 @@ class TrainConfig:
     vflip: bool = True
     eval_every: int = 50
 
-    def validate(self):
+    def __post_init__(self):
+        check_field_types(self)
         for key in ("lr0", "weight_decay", "lambda_raw", "w_percep"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigurationError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.lr0 <= 0:
-            raise ConfigurationError(f"lr0 must be > 0, got {self.lr0}")
-        for key in ("weight_decay", "lambda_raw", "w_percep"):
-            if getattr(self, key) < 0:
-                raise ConfigurationError(f"{key} must be >= 0, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.crop_size < 8:
-            raise ConfigurationError(f"crop_size must be >= 8, got {self.crop_size}")
+            v = getattr(self, key)
+            if not math.isfinite(v) or v < 0 or (key == "lr0" and v == 0):
+                bound = "> 0" if key == "lr0" else ">= 0"
+                raise ConfigurationError(f"{key!r} must be finite and {bound}, got {v!r}")
+        for key, low in (
+            ("batch_size", 1), ("steps", 1), ("crop_size", 8), ("seed", 0), ("eval_every", 1)
+        ):
+            v = getattr(self, key)
+            if v < low:
+                raise ConfigurationError(f"{key!r} must be >= {low}, got {v!r}")
         if self.loss not in LOSS_KINDS:
-            raise ConfigurationError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.steps < 1 or self.batch_size < 1 or self.eval_every < 1:
-            raise ConfigurationError(
-                "steps, batch_size and eval_every must be >= 1, got "
-                f"{self.steps}, {self.batch_size} and {self.eval_every}"
-            )
+            raise ConfigurationError(f"'loss' must be one of {LOSS_KINDS}, got {self.loss!r}")
 
 
 @dataclass
@@ -291,7 +295,6 @@ def train_loop(
     """
     if not samples:
         raise ConfigurationError("training dataset is empty")
-    cfg.validate()
     for s in samples:
         shapes = [s.input.pixels.shape, s.target.pixels.shape]
         if s.raw is not None:
@@ -312,7 +315,6 @@ def train_loop(
     state = AdamState()
     data_rng = philox(cfg.seed, 1)
     rows: list[LogRow] = []
-    history: deque[float] = deque(maxlen=16)
     best_psnr = -math.inf
     best = _snapshot(params)
     order: list[int] = []
@@ -350,9 +352,8 @@ def train_loop(
         if not math.isfinite(loss_val):
             for _, p in named:
                 p.grad = None
-            raise TrainingDiverged(step, lr, list(history) + [loss_val])
+            raise TrainingDiverged(step, lr, [r.loss for r in rows[-16:]] + [loss_val])
         step_tape.backward()
-        history.append(loss_val)
         adam_step(named, state, lr, cfg.weight_decay)
         psnr_val = None
         if (step + 1) % cfg.eval_every == 0 or step == total_steps - 1:

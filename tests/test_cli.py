@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iat import cli
 from iat.cli import main
 from iat.image_io import ImageRGB, load_image, save_image
 from iat.model import IATConfig, iat_init, load_checkpoint, save_checkpoint
@@ -86,6 +87,15 @@ def test_synthesize_empty_clean_dir(tmp_path):
     empty.mkdir()
     code = main(["synthesize", "--clean", str(empty), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_synthesize_missing_clean_is_usage_error(tmp_path, capsys):
+    # refused before the output directory is made
+    missing = str(tmp_path / "missing")
+    code = main(["synthesize", "--clean", missing, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --clean")
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +442,19 @@ def test_eval_unpaired_files_skipped(clean_dir, identity_ckpt, tmp_path, capsys)
     assert "no matching target" in capsys.readouterr().err
 
 
+def test_discover_pairs_matches_target_suffix_in_any_case(clean_dir, tmp_path, capsys):
+    data = make_dataset(clean_dir, tmp_path, count=2)
+    for name in ("input_00000.png", "target_00000.png"):
+        (data / name).rename(data / name.replace(".png", ".PNG"))
+    # with both a .png and a .ppm target, the .png one is read
+    (data / "target_00001.png").rename(data / "target_00001.Png")
+    save_image(ImageRGB(np.zeros((16, 16, 3), np.float32)), data / "target_00001.ppm")
+    samples = cli.discover_pairs(data)
+    assert [s.name for s in samples] == ["input_00000.PNG", "input_00001.png"]
+    assert samples[1].target.pixels.max() > 0
+    assert "no matching target" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # info
 
@@ -499,7 +522,7 @@ def test_info_negative_checkpoint_step(identity_ckpt, capsys):
 @pytest.mark.parametrize("key,value", [("channels", 0), ("blocks", 0), ("d", 7)])
 def test_info_model_size_out_of_range(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, **{key: value})
-    assert main(["info", "--config", str(cfg)]) == 2
+    assert main(["info", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -536,6 +559,31 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
     code = main(["train", "--data", str(tmp_path), "--config", str(cfg), "--out", out])
     assert code == 1
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "info"])
+@pytest.mark.parametrize(
+    "key,value", [("channels", 0), ("channels", "16"), ("lr0", -1.0)], ids=["size", "type", "range"]
+)
+def test_config_value_rejected_before_any_pair_is_read(
+    clean_dir, tmp_path, monkeypatch, capsys, command, key, value
+):
+    # each config checks itself when built, so every rejected value is one
+    # usage error, raised before an image is decoded or an output made
+    data = make_dataset(clean_dir, tmp_path)
+    decoded = []
+    monkeypatch.setattr(cli, "load_image", lambda path: decoded.append(path))
+    cfg = write_cfg(tmp_path, **{key: value})
+    out = tmp_path / "m.iatc"
+    argv = {
+        "train": ["train", "--data", str(data), "--config", str(cfg), "--out", str(out)],
+        "info": ["info", "--config", str(cfg)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert decoded == []
+    assert not out.exists() and not Path(f"{out}.csv").exists()
 
 
 def test_config_integer_accepted_for_float(tmp_path):

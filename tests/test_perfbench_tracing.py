@@ -14,6 +14,7 @@ from iat.image_io import ImageRGB, image_to_tensor
 from iat.rng import philox
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -65,3 +66,13 @@ def test_train_reaches_every_traced_layer():
         training.train_loop(samples, cfg, config=SMALL)
     reached = tracing.reduce_spans(tracer.spans)
     assert sorted(set(workloads.TRAIN_LAYERS) - set(reached)) == []
+
+
+def test_train_workload_op_passes_its_golden(tmp_path):
+    # the benchmark builds TrainConfig from plain ints and floats; an op that
+    # raises or misses its golden losses would count as a failed operation
+    bench = workloads.make_bench("train_64_b8", gen.run_order("train_64_b8", 0), tmp_path)
+    op = workloads.run_guarded(bench, 0, bench.order[0])
+    assert not op.raised
+    bench.check(op, workloads.load_golden(bench))
+    assert op.problems == []

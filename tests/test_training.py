@@ -150,12 +150,18 @@ def test_default_lambda_is_tenth():
         ("weight_decay", -0.5),
         ("seed", -1),
         ("seed", -(2**40)),
+        ("steps", 2.5),  # an int field takes no fraction
+        ("seed", True),  # nor a bool
+        ("lr0", "abc"),  # a float field takes only numbers
+        ("hflip", "false"),  # a bool field takes only a bool
+        ("loss", 1),  # a str field takes only a str
+        ("batch_size", 2.0),  # an int field takes no float, even a whole one
     ],
 )
 def test_train_config_rejects_bad_values(key, value):
-    TrainConfig().validate()  # the defaults pass
-    with pytest.raises(ConfigurationError, match=key):
-        TrainConfig(**{key: value}).validate()
+    TrainConfig()  # the defaults pass
+    with pytest.raises(ConfigurationError, match=f"'{key}'"):
+        TrainConfig(**{key: value})
 
 
 @given(st.integers(0, 2**31 - 1), st.booleans())
@@ -378,6 +384,27 @@ def test_train_loop_nan_sample_clears_grads():
     samples = make_pairs(2)
     samples[1].target = ImageRGB(np.full_like(samples[1].target.pixels, np.nan))
     _assert_diverges_with_no_grads(samples, small_cfg(steps=3))
+
+
+def test_divergence_history_is_the_last_losses(monkeypatch):
+    # finite losses for 20 steps, then NaN: the error carries the 16 logged
+    # losses before the step that diverged, then that step's loss
+    real, calls = training.compute_loss, []
+
+    def nan_from_step_20(*args):
+        calls.append(None)
+        loss = real(*args)
+        return loss * float("nan") if len(calls) > 20 else loss
+
+    monkeypatch.setattr(training, "compute_loss", nan_from_step_20)
+    cfg = small_cfg(steps=30, batch_size=1, eval_every=1000)
+    with pytest.raises(TrainingDiverged) as exc_info:
+        train_loop(make_pairs(1), cfg, config=SMALL_MODEL)
+    history = exc_info.value.history
+    assert exc_info.value.step == 20
+    assert len(history) == 17
+    assert all(math.isfinite(v) for v in history[:-1])
+    assert not math.isfinite(history[-1])
 
 
 def train_loop_one_tape(samples, cfg, config):
