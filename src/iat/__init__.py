@@ -1,11 +1,11 @@
 """Illumination-adaptive image enhancement.
 
 Two-branch model over a self-contained autodiff engine: a full-resolution
-local branch emits per-pixel gain/offset correction maps, and a global
-branch decodes a 3x3 color transform and gamma exponent from learned
-attention queries. Ships with a camera-pipeline degradation simulator for
-synthesizing training pairs, a desk-scale trainer, PSNR/SSIM metrics, and
-a batch CLI (`iat`).
+local branch applies per-pixel gain/offset correction maps to the image,
+and a global branch decodes a 3x3 color transform and gamma exponent from
+learned attention queries, which act on the local branch's output. Ships
+with a camera-pipeline degradation simulator for synthesizing training
+pairs, a desk-scale trainer, PSNR/SSIM metrics, and a batch CLI (`iat`).
 """
 
 from .image_io import ImageRGB, image_to_tensor, load_image, save_image, tensor_to_image
@@ -13,7 +13,6 @@ from .isp import (
     DegradationParams,
     GlobalParams,
     apply_color_matrix,
-    apply_global,
     compose_iat,
     degrade,
     sample_degradation,
@@ -25,7 +24,6 @@ from .model import (
     count_params,
     estimate_flops,
     iat_forward,
-    iat_forward_local,
     iat_init,
     load_checkpoint,
     named_parameters,
@@ -48,13 +46,11 @@ __all__ = [
     "Tensor",
     "TrainConfig",
     "apply_color_matrix",
-    "apply_global",
     "compose_iat",
     "count_params",
     "degrade",
     "estimate_flops",
     "iat_forward",
-    "iat_forward_local",
     "iat_init",
     "image_to_tensor",
     "load_checkpoint",

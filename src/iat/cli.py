@@ -32,11 +32,11 @@ from .model import (
     count_params,
     estimate_flops_detail,
     iat_forward,
-    iat_forward_local,
     iat_init,
     load_checkpoint,
     save_checkpoint,
 )
+from .model_local import local_branch_forward
 from .rng import philox
 from .training import LOSS_KINDS, Sample, TrainConfig, train_loop, write_metrics_csv
 
@@ -98,6 +98,15 @@ def _load_configs(args) -> tuple[IATConfig, TrainConfig]:
         raise UsageError(str(e)) from None
 
 
+def _require_output_path(flag: str, path: str):
+    """A path `atomic_open` can write: not a directory, in one that exists."""
+    path = Path(path)
+    if path.is_dir():
+        raise UsageError(f"{flag} {path} is a directory")
+    if not path.parent.is_dir():
+        raise UsageError(f"{flag} {path}: {path.parent} is not an existing directory")
+
+
 def _require_at_least(flag: str, value: int, minimum: int):
     if value < minimum:
         raise UsageError(f"{flag} must be >= {minimum}, got {value}")
@@ -136,7 +145,7 @@ def cmd_enhance(args) -> int:
         img = load_image(path)
         x = image_to_tensor(img)
         if args.local_only:
-            out = iat_forward_local(x, params)
+            out = local_branch_forward(x, params.local)
         else:
             out, _ = iat_forward(x, params)
         save_image(tensor_to_image(out), out_dir / path.name)
@@ -247,6 +256,9 @@ def evaluate(params, samples: list[Sample]) -> MetricReport:
 
 def cmd_train(args) -> int:
     model_cfg, cfg = _load_configs(args)
+    csv_path = args.metrics_csv or f"{args.out}.csv"
+    _require_output_path("--out", args.out)
+    _require_output_path("--metrics-csv", csv_path)
     samples = discover_pairs(args.data, want_raw=cfg.loss == "mixed_raw")
     if not samples:
         raise UsageError(f"no input_*/target_* pairs found in {args.data}")
@@ -271,7 +283,6 @@ def cmd_train(args) -> int:
         samples, cfg, params=params, config=model_cfg, start_step=start_step
     )
     save_checkpoint(params, args.out, step=cfg.steps)
-    csv_path = args.metrics_csv or f"{args.out}.csv"
     write_metrics_csv(rows, csv_path)
 
     report = evaluate(params, samples)

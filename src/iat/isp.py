@@ -107,24 +107,10 @@ def apply_color_matrix(x: Tensor, matrix: Tensor) -> Tensor:
     return reshape(matmul(matrix, flat), (1, 3, h, w))
 
 
-def apply_global(x: Tensor, gp: GlobalParams) -> Tensor:
-    """Color transform followed by the clamped power law."""
-    return pow_clamped(apply_color_matrix(x, gp.color_matrix), gp.gamma, CLAMP_EPS)
-
-
-def compose_iat(
-    x: Tensor, gain: Tensor, offset: Tensor, gp: GlobalParams
-) -> tuple[Tensor, Tensor]:
-    """Full correction: global operation applied to f = x * gain + offset.
-
-    Returns (out, f); f is the local intermediate the raw loss supervises.
-    """
-    if gain.shape != x.shape or offset.shape != x.shape:
-        raise ShapeError(
-            f"gain/offset {gain.shape}/{offset.shape} must match input {x.shape}"
-        )
-    f = x * gain + offset
-    return apply_global(f, gp), f
+def compose_iat(f: Tensor, gp: GlobalParams) -> Tensor:
+    """The global operation on the local intermediate f: the color
+    transform, then the clamped power law."""
+    return pow_clamped(apply_color_matrix(f, gp.color_matrix), gp.gamma, CLAMP_EPS)
 
 
 # ---------------------------------------------------------------------------

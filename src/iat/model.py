@@ -49,15 +49,23 @@ def check_field_types(config) -> None:
     """The one rule for which values a config dataclass's fields take.
 
     A bool field takes only a bool, an int field only an int, a float field
-    an int or a float, and a str field only a str. bool is an int subclass,
-    so neither number field takes one. Raises `ConfigurationError` naming
-    the first field that breaks the rule.
+    a float or an int that converts to one, and a str field only a str.
+    bool is an int subclass, so neither number field takes one. Raises
+    `ConfigurationError` naming the first field that breaks the rule.
     """
     for f in dataclasses.fields(config):
         v = getattr(config, f.name)
         taken = (int, float) if f.type is float else f.type
         if not isinstance(v, taken) or isinstance(v, bool) != (f.type is bool):
             raise ConfigurationError(f"{f.name!r} must be {_TYPE_NAMES[f.type]}, got {v!r}")
+        if f.type is float:
+            try:
+                float(v)  # an int beyond float range overflows
+            except OverflowError:
+                raise ConfigurationError(
+                    f"{f.name!r} must be a number in float range, "
+                    f"got an integer of {v.bit_length()} bits"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -114,21 +122,15 @@ def fold(p: IATParams) -> IATParams:
 def iat_forward(img: Tensor, p: IATParams) -> tuple[Tensor, Tensor]:
     """Run both branches and compose them.
 
-    Returns (out, f_out) where f_out = img * gain + offset is the local
-    intermediate. The output is intentionally not clamped to [0, 1];
+    Returns (out, f) where f = img * gain + offset is the local
+    intermediate (`local_branch_forward`) and out the global operation on
+    it (`compose_iat`). The output is intentionally not clamped to [0, 1];
     clamping happens only at image export. The global branch runs first, so
-    its encoder planes are freed before the local branch allocates its
-    whole-image maps.
+    its encoder planes are freed before the local branch allocates f.
     """
     gp = gpm_forward(encoder_forward(img, p.encoder), p.gpm)
-    maps = local_branch_forward(img, p.local)
-    return compose_iat(img, maps.gain, maps.offset, gp)
-
-
-def iat_forward_local(img: Tensor, p: IATParams) -> Tensor:
-    """Local-only ablation path: skip the global branch entirely."""
-    maps = local_branch_forward(img, p.local)
-    return img * maps.gain + maps.offset
+    f = local_branch_forward(img, p.local)
+    return compose_iat(f, gp), f
 
 
 # ---------------------------------------------------------------------------

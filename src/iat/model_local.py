@@ -3,7 +3,8 @@
 A 3x3 stem expands the image to C channels, two independent stacks of
 pixel-wise enhancement blocks (PEM) refine features at full resolution, and
 two heads emit the per-pixel correction maps: a nonnegative gain (ReLU) and
-a bounded offset (tanh), so the branch computes img * gain + offset.
+a bounded offset (tanh). The branch returns the intermediate
+f = img * gain + offset; the maps never leave it.
 
 Initialization realizes the exact identity map: the gain head starts as
 constant 1, the offset head as constant 0, every normalization as identity,
@@ -229,14 +230,6 @@ def pem_stack(x: Tensor, blocks: list[FoldedPem]) -> Tensor:
 
 
 @dataclass
-class LocalMaps:
-    """Per-pixel correction maps: gain >= 0 (ReLU), offset in (-1, 1) (tanh)."""
-
-    gain: Tensor
-    offset: Tensor
-
-
-@dataclass
 class LocalBranchParams:
     stem: Conv2d  # 3x3, 3 -> C
     gain_blocks: list[PemParams]  # or list[FoldedPem], see `fold_local`
@@ -290,38 +283,36 @@ def local_halo(p: LocalBranchParams) -> int:
     return p.stem.padding + blocks + p.gain_head.padding
 
 
-def local_branch_forward(img: Tensor, p: LocalBranchParams) -> LocalMaps:
-    """Full-resolution correction maps for an image in [0, 1].
+def local_branch_forward(img: Tensor, p: LocalBranchParams) -> Tensor:
+    """The local intermediate f = img * gain + offset of an image in [0, 1].
 
     With no tape recording, an image taller than `BAND_ROWS` runs in bands
     of `BAND_ROWS` rows, each with `local_halo` rows of context on either
-    side, so the 16-channel planes are band-sized; each band writes only
-    its own rows of the maps. A map row depends on no input row beyond the
-    halo and every op computes each output element the same way at any
-    height, so the maps are bit-identical to one band. A taped forward is
-    one band: its graph keeps every plane anyway. The blocks are folded
-    once (`fold_local`), before the first band.
+    side, so the 16-channel planes and the maps are band-sized; each band
+    writes only its own rows of f. An f row depends on no input row beyond
+    the halo and every op computes each output element the same way at any
+    height, so f is bit-identical to one band. A taped forward is one band:
+    its graph keeps every plane anyway. The blocks are folded once
+    (`fold_local`), before the first band.
     """
     p = fold_local(p)
     h = img.shape[2]
     if recording() or h <= BAND_ROWS:
         return _branch(img, p)
     halo = local_halo(p)
-    maps = None
+    f = None
     for r0 in range(0, h, BAND_ROWS):
         r1 = min(r0 + BAND_ROWS, h)
         a, b = max(0, r0 - halo), min(h, r1 + halo)
-        band = _branch(Tensor(img.data[:, :, a:b]), p)
-        parts = (band.gain.data, band.offset.data)
-        if maps is None:
-            maps = [np.empty(t.shape[:2] + (h, t.shape[3]), t.dtype) for t in parts]
-        for whole, part in zip(maps, parts):
-            whole[:, :, r0:r1] = part[:, :, r0 - a : r1 - a]
-    return LocalMaps(gain=Tensor(maps[0]), offset=Tensor(maps[1]))
+        band = _branch(Tensor(img.data[:, :, a:b]), p).data
+        if f is None:
+            f = np.empty(img.shape, band.dtype)
+        f[:, :, r0:r1] = band[:, :, r0 - a : r1 - a]
+    return Tensor(f)
 
 
-def _branch(img: Tensor, p: LocalBranchParams) -> LocalMaps:
-    """The maps of one band, all its rows.
+def _branch(img: Tensor, p: LocalBranchParams) -> Tensor:
+    """f of one band, all its rows.
 
     Each stack's head runs as soon as the stack ends, so the gain features
     are freed before the offset stack starts; only `stem_out` lives through
@@ -330,4 +321,4 @@ def _branch(img: Tensor, p: LocalBranchParams) -> LocalMaps:
     stem_out = p.stem(img)
     gain = relu(p.gain_head(pem_stack(stem_out, p.gain_blocks)))
     offset = tanh(p.offset_head(pem_stack(stem_out, p.offset_blocks)))
-    return LocalMaps(gain=gain, offset=offset)
+    return img * gain + offset

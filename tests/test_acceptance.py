@@ -22,7 +22,7 @@ from iat.image_io import ImageRGB, image_to_tensor, quantize, save_image, tensor
 from iat.isp import (
     DegradationParams,
     GlobalParams,
-    apply_global,
+    compose_iat,
     degrade,
     recovery_params,
     sample_degradation,
@@ -210,13 +210,13 @@ def test_c05_global_parameter_recovery():
     w_star = np.eye(3) * 1.8 + rng.uniform(-0.05, 0.05, (3, 3)) * (1 - np.eye(3))
     gamma_star = 0.75  # in [0.5, 2]; w_star is diagonally dominant
     gp_star = GlobalParams.from_values(w_star, gamma_star)
-    targets = [Tensor(apply_global(x, gp_star).data.astype(np.float32)) for x in imgs]
+    targets = [Tensor(compose_iat(x, gp_star).data.astype(np.float32)) for x in imgs]
 
     params = iat_init(rng=philox(6))
     # local branch is exactly the identity at init; verify once, then train
     # the global branch against the equivalent composed forward
     full, _ = iat_forward(imgs[0], params)
-    direct = apply_global(
+    direct = compose_iat(
         imgs[0], gpm_forward(encoder_forward(imgs[0], params.encoder), params.gpm)
     )
     assert np.abs(full.data - direct.data).max() == 0.0
@@ -232,7 +232,7 @@ def test_c05_global_parameter_recovery():
             loss = None
             for x, t in zip(imgs, targets):
                 gp = gpm_forward(encoder_forward(x, params.encoder), params.gpm)
-                term = l1_loss(apply_global(x, gp), t)
+                term = l1_loss(compose_iat(x, gp), t)
                 loss = term if loss is None else loss + term
             tape.backward(loss)
         adam_step(global_params, state, lr, 0.0)
@@ -240,7 +240,7 @@ def test_c05_global_parameter_recovery():
             vals = []
             for x, t in zip(imgs, targets):
                 gp = gpm_forward(encoder_forward(x, params.encoder), params.gpm)
-                out = apply_global(x, gp)
+                out = compose_iat(x, gp)
                 vals.append(psnr(tensor_to_image(out), tensor_to_image(t)))
             if float(np.mean(vals)) > 40.0:
                 reached = (step + 1, float(np.mean(vals)))
@@ -327,7 +327,7 @@ def test_c08_degradation_round_trip():
     degraded, raw = degrade(clean, dp, philox(11))
     assert raw.min() > 0  # clamp must not engage for the analytic inverse
     x = Tensor(np.transpose(degraded.pixels.astype(np.float64), (2, 0, 1))[None])
-    recovered = apply_global(x, recovery_params(dp))
+    recovered = compose_iat(x, recovery_params(dp))
     err = float(np.abs(recovered.data - np.transpose(clean.pixels, (2, 0, 1))[None]).max())
     report(
         "criterion 8 (degradation round trip)",

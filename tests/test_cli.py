@@ -339,6 +339,39 @@ def test_truncated_raw_file_fails_only_commands_that_read_it(
         assert err.startswith("error:") and "raw_00000.npy" in err
 
 
+@pytest.mark.parametrize(
+    "out,csv,flag",
+    [
+        ("nodir/m.iatc", None, "--out"),
+        ("m.iatc", "nodir/m.csv", "--metrics-csv"),
+        ("data", None, "--out"),  # a directory
+        ("m.iatc", "data", "--metrics-csv"),
+        ("data.iatc", None, "--metrics-csv"),  # the default data.iatc.csv is a directory
+    ],
+    ids=["out-nodir", "csv-nodir", "out-dir", "csv-dir", "default-csv-dir"],
+)
+def test_train_output_paths_checked_before_any_pair_is_read(
+    clean_dir, tmp_path, monkeypatch, capsys, out, csv, flag
+):
+    # the checkpoint and the metrics are written after training, so a path
+    # that cannot be written is refused before an image is decoded
+    data = make_dataset(clean_dir, tmp_path)
+    (tmp_path / "data.iatc.csv").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    decoded = []
+    monkeypatch.setattr(cli, "load_image", lambda path: decoded.append(path))
+    argv = ["train", "--data", str(data), "--steps", "1", "--out", str(tmp_path / out)]
+    if csv:
+        argv += ["--metrics-csv", str(tmp_path / csv)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ")
+    assert decoded == []
+    assert sorted(tmp_path.rglob("*")) == before
+    cli._require_output_path("--metrics-csv", "/dev/null")  # not a regular file, but writable
+
+
 def test_train_resume_continues_step_counter(clean_dir, tmp_path):
     data = make_dataset(clean_dir, tmp_path)
     cfg = write_cfg(tmp_path, batch_size=2, crop_size=16, eval_every=2, lr0=1e-3)
@@ -563,7 +596,9 @@ def test_config_value_of_wrong_type_rejected(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("command", ["train", "info"])
 @pytest.mark.parametrize(
-    "key,value", [("channels", 0), ("channels", "16"), ("lr0", -1.0)], ids=["size", "type", "range"]
+    "key,value",
+    [("channels", 0), ("channels", "16"), ("lr0", -1.0), ("lr0", 10**400)],
+    ids=["size", "type", "range", "huge"],
 )
 def test_config_value_rejected_before_any_pair_is_read(
     clean_dir, tmp_path, monkeypatch, capsys, command, key, value

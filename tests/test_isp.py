@@ -10,7 +10,6 @@ from iat.isp import (
     DegradationParams,
     GlobalParams,
     apply_color_matrix,
-    apply_global,
     compose_iat,
     degrade,
     recovery_params,
@@ -34,7 +33,7 @@ def scalar_global_reference(x, matrix, gamma, eps):
 
 
 # ---------------------------------------------------------------------------
-# apply_color_matrix / apply_global / compose_iat
+# apply_color_matrix / compose_iat
 
 
 def test_color_matrix_identity():
@@ -70,13 +69,13 @@ def test_color_matrix_shape_error():
 def test_apply_global_identity():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(1e-6, 1.0, (1, 3, 5, 5)).astype(np.float32))
-    out = apply_global(x, GlobalParams.from_values(np.eye(3), 1.0))
+    out = compose_iat(x, GlobalParams.from_values(np.eye(3), 1.0))
     np.testing.assert_allclose(out.data, x.data, atol=1e-7)
 
 
 def test_apply_global_gamma_two():
     x = Tensor(np.full((1, 3, 2, 2), 0.5, dtype=np.float32))
-    out = apply_global(x, GlobalParams.from_values(np.eye(3), 2.0))
+    out = compose_iat(x, GlobalParams.from_values(np.eye(3), 2.0))
     np.testing.assert_allclose(out.data, 0.25, rtol=1e-6)
 
 
@@ -85,7 +84,7 @@ def test_apply_global_monotone_decreasing_in_gamma():
     x = Tensor(rng.uniform(0.05, 1.0, (1, 3, 6, 6)))
     gammas = [0.5, 0.8, 1.0, 1.5, 2.2]
     means = [
-        apply_global(x, GlobalParams.from_values(np.eye(3), g)).data.mean()
+        compose_iat(x, GlobalParams.from_values(np.eye(3), g)).data.mean()
         for g in gammas
     ]
     assert all(a > b for a, b in zip(means, means[1:]))
@@ -98,7 +97,7 @@ def test_apply_global_gradients_all_ten_scalars():
     g = parameter(1.3, dtype=np.float64)
 
     def fwd():
-        return apply_global(x, GlobalParams(m, g)).sum()
+        return compose_iat(x, GlobalParams(m, g)).sum()
 
     with Tape() as tape:
         tape.backward(fwd())
@@ -109,19 +108,12 @@ def test_apply_global_gradients_all_ten_scalars():
 
 def test_compose_identity_and_doubling():
     rng = np.random.default_rng(6)
-    x = Tensor(rng.uniform(1e-6, 1.0, (1, 3, 4, 4)).astype(np.float32))
-    ones = Tensor(np.ones_like(x.data))
-    zeros = Tensor(np.zeros_like(x.data))
-    out, _ = compose_iat(x, ones, zeros, GlobalParams.from_values(np.eye(3), 1.0))
-    np.testing.assert_allclose(out.data, x.data, atol=1e-7)
+    f = Tensor(rng.uniform(1e-6, 1.0, (1, 3, 4, 4)).astype(np.float32))
+    out = compose_iat(f, GlobalParams.from_values(np.eye(3), 1.0))
+    np.testing.assert_allclose(out.data, f.data, atol=1e-7)
 
     quarter = Tensor(np.full((1, 3, 2, 2), 0.25, dtype=np.float32))
-    out, _ = compose_iat(
-        quarter,
-        Tensor(np.full((1, 3, 2, 2), 2.0, dtype=np.float32)),
-        Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32)),
-        GlobalParams.from_values(np.eye(3), 1.0),
-    )
+    out = compose_iat(quarter, GlobalParams.from_values(2.0 * np.eye(3), 1.0))
     np.testing.assert_allclose(out.data, 0.5, rtol=1e-6)
 
 
@@ -130,20 +122,12 @@ def test_compose_matches_scalar_oracle():
     x = rng.uniform(0, 1, (1, 3, 8, 8))
     gain = rng.uniform(0.5, 2.0, (1, 3, 8, 8))
     offset = rng.uniform(-0.3, 0.3, (1, 3, 8, 8))
+    f = x * gain + offset
     m = np.eye(3) + 0.1 * rng.standard_normal((3, 3))
     gamma = 0.8
-    out, f = compose_iat(
-        Tensor(x), Tensor(gain), Tensor(offset), GlobalParams.from_values(m, gamma)
-    )
-    np.testing.assert_array_equal(f.data, x * gain + offset)
-    ref = scalar_global_reference(x * gain + offset, m, gamma, CLAMP_EPS)
+    out = compose_iat(Tensor(f), GlobalParams.from_values(m, gamma))
+    ref = scalar_global_reference(f, m, gamma, CLAMP_EPS)
     np.testing.assert_allclose(out.data, ref, atol=1e-6)
-
-
-def test_compose_shape_mismatch():
-    x = Tensor(np.zeros((1, 3, 2, 2)))
-    with pytest.raises(ShapeError):
-        compose_iat(x, Tensor(np.zeros((1, 3, 2, 3))), x, GlobalParams.from_values(np.eye(3), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +203,7 @@ def test_recovery_property():
     degraded, raw = degrade(clean, dp, philox(0))
     assert raw.min() > 0, "clamp must not engage for the analytic inverse to exist"
     x = Tensor(np.transpose(degraded.pixels.astype(np.float64), (2, 0, 1))[None])
-    recovered = apply_global(x, recovery_params(dp))
+    recovered = compose_iat(x, recovery_params(dp))
     ref = np.transpose(clean.pixels, (2, 0, 1))[None]
     assert np.abs(recovered.data - ref).max() < 1e-3
 

@@ -12,12 +12,12 @@ from iat.model import (
     estimate_flops,
     estimate_flops_detail,
     iat_forward,
-    iat_forward_local,
     iat_init,
     load_checkpoint,
     named_parameters,
     save_checkpoint,
 )
+from iat.model_local import local_branch_forward
 from iat.rng import philox
 from iat.tensor import Tape, Tensor
 from iat.training import smooth_l1
@@ -51,7 +51,7 @@ def test_local_only_path_matches_intermediate():
     rng = np.random.default_rng(4)
     img = rand_image(rng, 10, 12)
     out_full, f_out = iat_forward(img, p)
-    local = iat_forward_local(img, p)
+    local = local_branch_forward(img, p.local)
     np.testing.assert_array_equal(local.data, f_out.data)
     assert not np.allclose(local.data, out_full.data)  # global op does something
 
@@ -64,16 +64,14 @@ def test_forward_matches_scalar_reference():
         t.data = t.data + rng.normal(0, 0.05, t.data.shape).astype(np.float32)
     img = rand_image(rng, 8, 8)
     from iat.model_global import encoder_forward, gpm_forward
-    from iat.model_local import local_branch_forward
 
-    maps = local_branch_forward(img, p.local)
+    f = local_branch_forward(img, p.local).data
     gp = gpm_forward(encoder_forward(img, p.encoder), p.gpm)
     out, _ = iat_forward(img, p)
 
     m = gp.color_matrix.data.astype(np.float64)
     gamma = float(gp.gamma.data)
     ref = np.zeros((1, 3, 8, 8))
-    f = img.data * maps.gain.data + maps.offset.data
     for i in range(8):
         for j in range(8):
             v = m @ f[0, :, i, j].astype(np.float64)

@@ -5,7 +5,7 @@ import pytest
 
 from iat import model_global
 from iat.errors import InputError
-from iat.isp import CLAMP_EPS, apply_global
+from iat.isp import CLAMP_EPS, compose_iat
 from iat.model import IATConfig, named_parameters
 from iat.model_global import (
     FoldedGpm,
@@ -168,7 +168,7 @@ def test_identity_at_init_bit_exact():
         gp = gpm_forward(encoder_forward(img, enc), gpm)
         np.testing.assert_array_equal(gp.color_matrix.data, np.eye(3, dtype=np.float32))
         assert gp.gamma.item() == 1.0  # bit-exact
-    assert CLAMP_EPS == 1e-8  # the floor apply_global clamps to
+    assert CLAMP_EPS == 1e-8  # the floor compose_iat clamps to
 
 
 def test_shifted_softplus_contract():
@@ -205,13 +205,13 @@ def test_single_step_moves_gamma_toward_target():
     img = Tensor(rng.uniform(0.1, 0.9, (1, 3, 8, 8)).astype(np.float32))
     from iat.isp import GlobalParams
 
-    target = apply_global(img, GlobalParams.from_values(np.eye(3), 2.0))
+    target = compose_iat(img, GlobalParams.from_values(np.eye(3), 2.0))
     target = Tensor(target.data.astype(np.float32))
     params = list(named_parameters(gpm)) + list(named_parameters(enc))
     state = AdamState()
     with Tape() as tape:
         gp = gpm_forward(encoder_forward(img, enc), gpm)
-        out = apply_global(img, gp)
+        out = compose_iat(img, gp)
         diff = out - target
         tape.backward((diff * diff).mean())
     adam_step(params, state, lr=1e-3, weight_decay=0.0)

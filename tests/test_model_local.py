@@ -11,7 +11,6 @@ from iat.model import (
     IATConfig,
     IATParams,
     iat_forward,
-    iat_forward_local,
     iat_init,
     named_parameters,
 )
@@ -19,7 +18,6 @@ from iat.model_local import (
     Conv2d,
     LightNormParams,
     LocalBranchParams,
-    LocalMaps,
     PemParams,
     fold_norm,
     fold_pem,
@@ -233,10 +231,10 @@ def folded_block_reference(x: Tensor, p: PemParams) -> Tensor:
     return v + p.mix2(gelu(p.mix1(v)))
 
 
-def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMaps:
+def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> Tensor:
     """Both stacks first, then both heads, every residual and each stack's
     skip a plane add: every block's input and the gain features stay alive
-    to the end."""
+    to the end. Returns f = img * gain + offset."""
     stem_out = p.stem(img)
     feat_gain = stem_out
     for blk in p.gain_blocks:
@@ -246,15 +244,14 @@ def local_branch_forward_reference(img: Tensor, p: LocalBranchParams) -> LocalMa
     for blk in p.offset_blocks:
         feat_offset = folded_block_reference(feat_offset, blk)
     feat_offset = feat_offset + stem_out
-    return LocalMaps(
-        gain=relu(p.gain_head(feat_gain)),
-        offset=tanh(p.offset_head(feat_offset)),
-    )
+    gain = relu(p.gain_head(feat_gain))
+    offset = tanh(p.offset_head(feat_offset))
+    return img * gain + offset
 
 
 def perturbed_model(seed) -> IATParams:
     """The default model with N(0, 0.1) added to every parameter: no head is
-    the identity, so a band that read too few rows would show in the maps."""
+    the identity, so a band that read too few rows would show in f."""
     p = iat_init(rng=philox(seed))
     rng = np.random.default_rng(seed)
     for _, t in named_parameters(p):
@@ -267,17 +264,15 @@ def test_branch_forward_matches_reference_bits(hw):
     p = perturbed_model(20).local
     img = Tensor(np.random.default_rng(21).uniform(0, 1, (1, 3) + hw).astype(np.float32))
     got, want = local_branch_forward(img, p), local_branch_forward_reference(img, p)
-    np.testing.assert_array_equal(got.gain.data, want.gain.data)
-    np.testing.assert_array_equal(got.offset.data, want.offset.data)
+    np.testing.assert_array_equal(got.data, want.data)
 
 
-def branch_grads(forward, p, img, r_gain, r_offset):
+def branch_grads(forward, p, img, r):
     for _, t in named_parameters(p):
         t.grad = None
     img.grad = None
     with Tape() as tape:
-        maps = forward(img, p)
-        tape.backward((maps.gain * Tensor(r_gain) + maps.offset * Tensor(r_offset)).sum())
+        tape.backward((forward(img, p) * Tensor(r)).sum())
     return [("img", img.grad)] + [(name, t.grad) for name, t in named_parameters(p)]
 
 
@@ -287,27 +282,25 @@ def test_branch_gradients_match_reference_bits():
     p = perturbed_model(22).local
     rng = np.random.default_rng(23)
     img = Tensor(rng.uniform(0, 1, (1, 3, 37, 53)), requires_grad=True, dtype=np.float32)
-    r_gain = rng.standard_normal((1, 3, 37, 53)).astype(np.float32)
-    r_offset = rng.standard_normal((1, 3, 37, 53)).astype(np.float32)
-    got = branch_grads(local_branch_forward, p, img, r_gain, r_offset)
-    want = branch_grads(local_branch_forward_reference, p, img, r_gain, r_offset)
+    r = rng.standard_normal((1, 3, 37, 53)).astype(np.float32)
+    got = branch_grads(local_branch_forward, p, img, r)
+    want = branch_grads(local_branch_forward_reference, p, img, r)
     for (name, a), (_, b) in zip(got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def test_forward_plane_budget():
-    # the untaped local branch runs in bands, so its 16-channel planes are
-    # band-sized: 1.87 planes at 400x600, mostly one band's. At 800x1200
-    # compose_iat sets the peak with the whole-image maps, f and the output
-    # (18.0 H W floats): 1.13 planes. The other stages stay below it: the
-    # encoder at 15.9 H W floats, the local branch at 17.5 and the prediction
-    # module at 12.5, the encoder output plus kv, since its pos_dw applies the
-    # encoder's output GELU as it reads it and K and V are never planes (22.5
-    # and 1.41 planes with both). Running the local branch first would add
-    # its whole-image maps (1.78); one band reached 4.3, and keeping block
-    # inputs or gain features alive about 7
+    # the untaped local branch runs in bands and writes only f's rows, so its
+    # 16-channel planes and its gain and offset maps are band-sized: 1.63
+    # planes at 400x600, mostly one band's. At 800x1200 the encoder sets the
+    # peak (15.9 H W floats): 0.99 planes. The other stages stay below it:
+    # the local branch's bands and f at 14.1 H W floats, compose_iat at 12.0
+    # and the prediction module at 12.5, the encoder output plus kv, since its
+    # pos_dw applies the encoder's output GELU as it reads it and K and V are
+    # never planes (22.5 and 1.41 planes with both). One band reached 4.3,
+    # and keeping block inputs or gain features alive about 7
     p = iat_init(rng=philox(24))
-    for (h, w), planes in (((400, 600), 2.0), ((800, 1200), 1.15)):
+    for (h, w), planes in (((400, 600), 1.75), ((800, 1200), 1.05)):
         img = Tensor(np.random.default_rng(25).uniform(0, 1, (1, 3, h, w)).astype(np.float32))
         tracemalloc.start()
         try:
@@ -325,7 +318,7 @@ def test_forward_plane_budget():
 
 def forwards(p, img) -> list[np.ndarray]:
     out, f_out = iat_forward(img, p)
-    return [out.data, f_out.data, iat_forward_local(img, p).data]
+    return [out.data, f_out.data, local_branch_forward(img, p.local).data]
 
 
 def test_banded_forward_matches_one_band_at_band_edges(monkeypatch):
@@ -345,7 +338,7 @@ def test_banded_forward_matches_one_band_at_band_edges(monkeypatch):
 
 @pytest.mark.parametrize("hw", [(400, 600), (600, 400)])
 def test_banded_forward_matches_one_band(monkeypatch, hw):
-    # f_out = img * gain + offset, so it checks the local maps as well
+    # f_out is the local branch's output, so it checks the local bands as well
     p = perturbed_model(32)
     img = Tensor(np.random.default_rng(33).uniform(0, 1, (1, 3) + hw).astype(np.float32))
     assert hw[0] > model_local.BAND_ROWS
@@ -358,7 +351,7 @@ def test_banded_forward_matches_one_band(monkeypatch, hw):
 
 @pytest.mark.parametrize("blocks, halo", [(DEFAULT.blocks, 8), (2, 6)])
 def test_halo_is_the_receptive_field(blocks, halo):
-    # changing input row r changes map rows [r - halo, r + halo] and no other;
+    # changing input row r changes f rows [r - halo, r + halo] and no other;
     # float64 so that changes at the field's edge do not round away
     p = local_branch_init(DEFAULT.channels, blocks, philox(34))
     rng = np.random.default_rng(35)
@@ -369,8 +362,8 @@ def test_halo_is_the_receptive_field(blocks, halo):
     a = rng.uniform(0, 1, (1, 3, h, w))
     b = a.copy()
     b[:, :, r] = rng.uniform(0, 1, (3, w))
-    ma, mb = (local_branch_forward(Tensor(x), p) for x in (a, b))
-    moved = (ma.gain.data != mb.gain.data) | (ma.offset.data != mb.offset.data)
+    fa, fb = (local_branch_forward(Tensor(x), p) for x in (a, b))
+    moved = fa.data != fb.data
     rows = np.flatnonzero(moved.any(axis=(0, 1, 3)))
     np.testing.assert_array_equal(rows, np.arange(r - halo, r + halo + 1))
 
@@ -402,11 +395,7 @@ def test_identity_at_init_exact():
     p = local_branch_init(DEFAULT.channels, DEFAULT.blocks, philox(5))
     rng = np.random.default_rng(6)
     img = Tensor(rng.uniform(0, 1, (1, 3, 9, 11)).astype(np.float32))
-    maps = local_branch_forward(img, p)
-    np.testing.assert_array_equal(maps.gain.data, np.ones_like(img.data))
-    np.testing.assert_array_equal(maps.offset.data, np.zeros_like(img.data))
-    f_out = img * maps.gain + maps.offset
-    np.testing.assert_array_equal(f_out.data, img.data)
+    np.testing.assert_array_equal(local_branch_forward(img, p).data, img.data)
 
 
 def test_default_parameter_count_in_budget():
@@ -433,16 +422,22 @@ def test_same_seed_identical_parameters():
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(3, 10), st.integers(3, 10))
 def test_map_range_contracts(seed, h, w):
-    # gain >= 0 and |offset| < 1 for any parameters and any input
+    # gain >= 0 and |offset| < 1 for any parameters and any input, read
+    # through f = img * gain + offset
     rng = philox(seed)
     p = local_branch_init(channels=6, blocks=1, rng=rng)
     for _, t in named_parameters(p):
         t.data = rng.normal(0, 0.5, t.data.shape).astype(np.float32)
-    img = Tensor(rng.uniform(0, 1, (1, 3, h, w)).astype(np.float32))
-    maps = local_branch_forward(img, p)
-    assert (maps.gain.data >= 0).all()
-    # mathematically |tanh| < 1; float32 rounds saturated values to 1.0
-    assert (np.abs(maps.offset.data) <= 1).all()
+    # at img = 0, f is the offset; mathematically |tanh| < 1, and float32
+    # rounds saturated values to 1.0
+    zero = Tensor(np.zeros((1, 3, h, w), dtype=np.float32))
+    assert (np.abs(local_branch_forward(zero, p).data) <= 1).all()
+    # with the offset head zeroed the offset is tanh(0) = 0, so for img > 0
+    # f >= 0 exactly where gain >= 0
+    for t in (p.offset_head.weight, p.offset_head.bias):
+        t.data = np.zeros_like(t.data)
+    img = Tensor(rng.uniform(0.01, 1, (1, 3, h, w)).astype(np.float32))
+    assert (local_branch_forward(img, p).data >= 0).all()
 
 
 def test_no_dead_parameters_after_one_step():
@@ -458,9 +453,7 @@ def test_no_dead_parameters_after_one_step():
 
     def backward_pass():
         with Tape() as tape:
-            maps = local_branch_forward(img, p)
-            out = img * maps.gain + maps.offset
-            diff = out - target
+            diff = local_branch_forward(img, p) - target
             tape.backward((diff * diff).mean())
 
     backward_pass()

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+import iat
 import iat.image_io as image_io
 import iat.model as model
 import iat.training as training
@@ -27,6 +28,10 @@ def test_every_traced_target_resolves():
     for target in targets:
         owner, attr = tracing.resolve(target)
         assert callable(getattr(owner, attr)), target
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in iat.__all__ if not hasattr(iat, name)] == []
 
 
 def test_traced_image_size_is_height_by_width():
@@ -72,6 +77,18 @@ def test_train_workload_op_passes_its_golden(tmp_path):
     # the benchmark builds TrainConfig from plain ints and floats; an op that
     # raises or misses its golden losses would count as a failed operation
     bench = workloads.make_bench("train_64_b8", gen.run_order("train_64_b8", 0), tmp_path)
+    op = workloads.run_guarded(bench, 0, bench.order[0])
+    assert not op.raised
+    bench.check(op, workloads.load_golden(bench))
+    assert op.problems == []
+
+
+def test_enhance_workload_op_passes_its_golden(tmp_path):
+    # one op of the enhance workload: decode, forward and encode must still
+    # match the recorded output, or the benchmark counts a failed operation
+    name = "enhance_png_paeth_600x400"
+    bench = workloads.make_bench(name, gen.run_order(name, 0), tmp_path)
+    bench.setup_once()
     op = workloads.run_guarded(bench, 0, bench.order[0])
     assert not op.raised
     bench.check(op, workloads.load_golden(bench))

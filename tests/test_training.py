@@ -156,6 +156,7 @@ def test_default_lambda_is_tenth():
         ("hflip", "false"),  # a bool field takes only a bool
         ("loss", 1),  # a str field takes only a str
         ("batch_size", 2.0),  # an int field takes no float, even a whole one
+        pytest.param("lr0", 10**400, id="lr0-huge"),  # no int beyond float range
     ],
 )
 def test_train_config_rejects_bad_values(key, value):
