@@ -59,7 +59,7 @@ def main() -> int:
     )
 
     samples = discover_pairs(pairs)
-    baseline = MetricReport.empty()
+    baseline = MetricReport()
     for s in samples:
         baseline.add(s.name, s.input, s.target)
     trained = evaluate(load_checkpoint(ckpt)[0], samples)

@@ -14,15 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CheckpointError,
-    ConfigurationError,
-    ContractError,
-    DecodeError,
-    InputError,
-    ShapeError,
-    TrainingDiverged,
-)
+from .errors import ConfigurationError, DecodeError, IATError, InputError, ShapeError
 from .fileio import atomic_open
 from .image_io import image_to_tensor, load_image, save_image, tensor_to_image
 from .isp import PROFILES, degrade, sample_degradation
@@ -44,9 +36,9 @@ EXIT_OK, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2
 
 IMAGE_SUFFIXES = (".png", ".ppm")
 
+MODEL_KEYS = tuple(f.name for f in dataclasses.fields(IATConfig))
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-# model and training keys share one config file
-CONFIG_KEYS = {f.name for cls in (IATConfig, TrainConfig) for f in dataclasses.fields(cls)}
+CONFIG_KEYS = {*MODEL_KEYS, *TRAIN_KEYS}  # model and training keys share one config file
 
 
 class UsageError(Exception):
@@ -75,10 +67,10 @@ def _from_keys(cls, values: dict):
     return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls) if f.name in values})
 
 
-def _load_configs(args) -> tuple[IATConfig, TrainConfig]:
+def _load_configs(args) -> tuple[IATConfig, TrainConfig, dict]:
     """The model and training configs from --config plus the training flags,
-    which win. The configs check their own values; a rejected one is a usage
-    error.
+    which win, and the values the file and the flags name. The configs check
+    their own values; a rejected one is a usage error.
     """
     values = {}
     if args.config:
@@ -93,7 +85,7 @@ def _load_configs(args) -> tuple[IATConfig, TrainConfig]:
             raise UsageError(f"config {args.config} has unknown keys: {sorted(unknown)}")
     values.update({k: getattr(args, k) for k in TRAIN_KEYS if getattr(args, k, None) is not None})
     try:
-        return _from_keys(IATConfig, values), _from_keys(TrainConfig, values)
+        return _from_keys(IATConfig, values), _from_keys(TrainConfig, values), values
     except ConfigurationError as e:
         raise UsageError(str(e)) from None
 
@@ -205,6 +197,12 @@ def cmd_synthesize(args) -> int:
 
 
 def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
+    """The input_*/target_* pairs in `directory`, each read and checked.
+
+    A pair whose images differ in shape fails as it is read (see `Sample`).
+    Every pair is scored with SSIM in the end, so pairs below its window are
+    refused here, before any forward runs.
+    """
     directory = Path(directory)
     inputs = sorted(directory.glob("input_*"))
     # (pair stem, lowercased suffix) -> target; of names that differ only in
@@ -238,12 +236,15 @@ def discover_pairs(directory, want_raw: bool = False) -> list[Sample]:
             raise UsageError(
                 f"loss=mixed_raw needs raw_*.npy next to each pair; missing for: {missing[:5]}"
             )
+    small = [s.name for s in samples if min(s.input.pixels.shape[:2]) < SSIM_WINDOW]
+    if small:
+        raise InputError(f"pairs below the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window: {small[:5]}")
     return samples
 
 
 def evaluate(params, samples: list[Sample]) -> MetricReport:
     """PSNR and SSIM of the model's output for each sample against its target."""
-    report = MetricReport.empty()
+    report = MetricReport()
     for s in samples:
         out, _ = iat_forward(image_to_tensor(s.input), params)
         report.add(s.name, tensor_to_image(out), s.target)
@@ -255,26 +256,23 @@ def evaluate(params, samples: list[Sample]) -> MetricReport:
 
 
 def cmd_train(args) -> int:
-    model_cfg, cfg = _load_configs(args)
+    model_cfg, cfg, values = _load_configs(args)
     csv_path = args.metrics_csv or f"{args.out}.csv"
     _require_output_path("--out", args.out)
     _require_output_path("--metrics-csv", csv_path)
     samples = discover_pairs(args.data, want_raw=cfg.loss == "mixed_raw")
     if not samples:
         raise UsageError(f"no input_*/target_* pairs found in {args.data}")
-    # the closing report scores every pair, so refuse the unscorable before training
-    small = [s.name for s in samples if min(s.input.pixels.shape[:2]) < SSIM_WINDOW]
-    if small:
-        raise InputError(f"pairs below the {SSIM_WINDOW}x{SSIM_WINDOW} SSIM window: {small[:5]}")
 
     params = None
     start_step = 0
     if args.resume:
         params, start_step = load_checkpoint(args.resume)
-        if args.config and params.config != model_cfg:
-            raise UsageError(
-                f"--resume checkpoint config {params.config} != --config {model_cfg}"
-            )
+        # the checkpoint gives the sizes; a size the config names must agree
+        ckpt = params.config
+        clash = {k: values[k] for k in MODEL_KEYS if k in values and values[k] != getattr(ckpt, k)}
+        if clash:
+            raise UsageError(f"--config {clash} differs from the --resume checkpoint's {ckpt}")
         if start_step >= cfg.steps:
             raise UsageError(
                 f"checkpoint already at step {start_step}, >= total steps {cfg.steps}"
@@ -407,18 +405,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except TrainingDiverged as e:
-        print(f"error: training diverged: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (
-        CheckpointError,
-        ConfigurationError,
-        ContractError,
-        DecodeError,
-        InputError,
-        ShapeError,
-        OSError,
-    ) as e:
+    except (IATError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -200,8 +200,9 @@ def _encode_png(codes: np.ndarray) -> bytes:
         )
 
     ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
-    rows = codes.reshape(height, width * 3)
-    raw = b"".join(b"\x00" + rows[y].tobytes() for y in range(height))
+    # filter type 0 (None): a zero byte before each scanline; zlib reads the
+    # array's buffer, so the scanlines are never copied into a bytes object
+    raw = np.pad(codes.reshape(height, width * 3), ((0, 0), (1, 0)))
     return (
         _PNG_SIG
         + chunk(b"IHDR", ihdr)

@@ -10,7 +10,7 @@ holds a NaN or an inf has neither metric: both raise InputError.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -85,9 +85,9 @@ def ssim(a: ImageRGB, b: ImageRGB) -> float:
 class MetricReport:
     """Per-image values plus their arithmetic means."""
 
-    names: list[str]
-    psnr_values: list[float]
-    ssim_values: list[float]
+    names: list[str] = field(default_factory=list)
+    psnr_values: list[float] = field(default_factory=list)
+    ssim_values: list[float] = field(default_factory=list)
 
     @property
     def mean_psnr(self) -> float:
@@ -101,7 +101,3 @@ class MetricReport:
         self.names.append(name)
         self.psnr_values.append(psnr(a, b))
         self.ssim_values.append(ssim(a, b))
-
-    @classmethod
-    def empty(cls) -> "MetricReport":
-        return cls(names=[], psnr_values=[], ssim_values=[])

@@ -70,14 +70,26 @@ class TrainConfig:
             raise ConfigurationError(f"'loss' must be one of {LOSS_KINDS}, got {self.loss!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sample:
-    """One training pair; raw is the aligned pseudo-raw image when available."""
+    """One training pair; raw is the aligned pseudo-raw image when available.
+
+    Checked when built: the input, the target and the raw image share one shape.
+    """
 
     input: ImageRGB
     target: ImageRGB
     raw: np.ndarray | None = None
     name: str = ""
+
+    def __post_init__(self):
+        shapes = [self.input.pixels.shape, self.target.pixels.shape]
+        if self.raw is not None:
+            shapes.append(self.raw.shape)
+        if len(set(shapes)) > 1:
+            raise ShapeError(
+                f"sample {self.name or '<unnamed>'}: input/target/raw shapes differ: {shapes}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +212,7 @@ def cosine_lr(step: int, total: int, lr0: float) -> float:
 
 
 def _crop_and_flip(sample: Sample, crop: int, hflip: bool, vflip: bool, rng):
-    """Joint random crop + flips over input/target/raw arrays."""
+    """Joint random crop + flips over input/target/raw arrays, as views of them."""
     arrs = [sample.input.pixels, sample.target.pixels]
     if sample.raw is not None:
         arrs.append(sample.raw)
@@ -213,7 +225,6 @@ def _crop_and_flip(sample: Sample, crop: int, hflip: bool, vflip: bool, rng):
         arrs = [a[:, ::-1] for a in arrs]
     if vflip and rng.random() < 0.5:
         arrs = [a[::-1] for a in arrs]
-    arrs = [np.ascontiguousarray(a) for a in arrs]
     raw = arrs[2] if sample.raw is not None else None
     return arrs[0], arrs[1], raw
 
@@ -295,14 +306,6 @@ def train_loop(
     """
     if not samples:
         raise ConfigurationError("training dataset is empty")
-    for s in samples:
-        shapes = [s.input.pixels.shape, s.target.pixels.shape]
-        if s.raw is not None:
-            shapes.append(s.raw.shape)
-        if len(set(shapes)) > 1:
-            raise ShapeError(
-                f"sample {s.name or '<unnamed>'}: input/target/raw shapes differ: {shapes}"
-            )
     if cfg.loss == "mixed_raw":
         missing = [s.name or "<unnamed>" for s in samples if s.raw is None]
         if missing:

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iat import cli
+from iat import cli, training
 from iat.cli import main
+from iat.errors import IATError, TrainingDiverged
 from iat.image_io import ImageRGB, load_image, save_image
 from iat.model import IATConfig, iat_init, load_checkpoint, save_checkpoint
 from iat.rng import philox
@@ -391,6 +392,43 @@ def test_train_resume_continues_step_counter(clean_dir, tmp_path):
     assert step == 6
 
 
+def test_train_resume_takes_the_sizes_the_config_does_not_name(clean_dir, tmp_path):
+    data = make_dataset(clean_dir, tmp_path)
+    train_keys = {"batch_size": 2, "crop_size": 16, "eval_every": 2, "lr0": 1e-3}
+    first = tmp_path / "first.iatc"
+    assert main([
+        "train", "--data", str(data), "--config", str(write_cfg(tmp_path, **train_keys)),
+        "--out", str(first), "--steps", "2",
+    ]) == 0
+    only_train = tmp_path / "train_only.json"
+    only_train.write_text(json.dumps(train_keys))
+    second = tmp_path / "second.iatc"
+    assert main([
+        "train", "--data", str(data), "--config", str(only_train),
+        "--out", str(second), "--steps", "3", "--resume", str(first),
+    ]) == 0
+    params, step = load_checkpoint(second)
+    assert params.config == IATConfig(**SMALL) and step == 3
+
+
+def test_train_resume_refuses_a_size_the_checkpoint_lacks(clean_dir, tmp_path, capsys):
+    data = make_dataset(clean_dir, tmp_path)
+    first = tmp_path / "first.iatc"
+    cfg = write_cfg(tmp_path, batch_size=2, crop_size=16)
+    assert main(["train", "--data", str(data), "--config", str(cfg), "--out", str(first),
+                 "--steps", "2"]) == 0
+    second = tmp_path / "second.iatc"
+    capsys.readouterr()
+    code = main([
+        "train", "--data", str(data), "--config", str(write_cfg(tmp_path, channels=4)),
+        "--out", str(second), "--steps", "3", "--resume", str(first),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --config {'channels': 4} differs from the --resume checkpoint")
+    assert not second.exists()
+
+
 def test_train_refuses_pairs_below_ssim_window(tmp_path, capsys):
     # 9x9 pairs crop to 8 and train, but the closing report has no SSIM for them
     clean = tmp_path / "clean9"
@@ -410,6 +448,42 @@ def test_train_refuses_pairs_below_ssim_window(tmp_path, capsys):
     assert "input_00000.png" in err and "input_00001.png" in err
     assert not out.exists()
     assert not (tmp_path / "m.iatc.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case", ["small", "mismatch"])
+def test_unscorable_pair_refused_before_any_forward(
+    clean_dir, identity_ckpt, tmp_path, monkeypatch, capsys, command, case
+):
+    # one pair among good ones is below SSIM's window, or its images differ in size
+    data = make_dataset(clean_dir, tmp_path)
+    rng = np.random.default_rng(2)
+    if case == "small":
+        shapes = {"input_00001.png": (9, 9, 3), "target_00001.png": (9, 9, 3)}
+    else:
+        shapes = {"target_00001.png": (16, 12, 3)}
+    for name, shape in shapes.items():
+        save_image(ImageRGB(rng.uniform(0.2, 0.8, shape).astype(np.float32)), data / name)
+    forwards = []
+    for module in (cli, training):
+        monkeypatch.setattr(module, "iat_forward", lambda *a: forwards.append(a))
+    csv = tmp_path / "out.csv"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(identity_ckpt), "--pairs", str(data), "--csv", str(csv)]
+    else:
+        argv = [
+            "train", "--data", str(data), "--config", str(write_cfg(tmp_path, crop_size=8)),
+            "--out", str(tmp_path / "m.iatc"), "--metrics-csv", str(csv), "--steps", "2",
+        ]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "input_00001.png" in line
+    assert "input_00000.png" not in line and "input_00002.png" not in line
+    assert forwards == []
+    assert captured.out == ""
+    assert not csv.exists() and not (tmp_path / "m.iatc").exists()
 
 
 def test_train_determinism(clean_dir, tmp_path):
@@ -486,6 +560,35 @@ def test_discover_pairs_matches_target_suffix_in_any_case(clean_dir, tmp_path, c
     assert [s.name for s in samples] == ["input_00000.PNG", "input_00001.png"]
     assert samples[1].target.pixels.max() > 0
     assert "no matching target" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# errors
+
+
+class _FreshError(IATError):
+    pass
+
+
+@pytest.mark.parametrize(
+    "error,line",
+    [
+        (_FreshError("no such thing"), "error: no such thing"),
+        (
+            TrainingDiverged(3, 1e-3, [0.5, float("nan")]),
+            "error: training diverged: non-finite loss at step 3 (lr=0.001); "
+            "recent losses: [0.5, nan]",
+        ),
+    ],
+    ids=["fresh-subclass", "diverged"],
+)
+def test_package_errors_exit_2_with_one_line(identity_ckpt, monkeypatch, capsys, error, line):
+    def fail(path):
+        raise error
+
+    monkeypatch.setattr(cli, "load_checkpoint", fail)
+    assert main(["info", "--checkpoint", str(identity_ckpt)]) == 2
+    assert capsys.readouterr().err == line + "\n"
 
 
 # ---------------------------------------------------------------------------

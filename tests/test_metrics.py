@@ -103,7 +103,7 @@ def test_metrics_invariant_to_joint_flips(seed, fh, fv):
 
 def test_report_aggregates_mean():
     rng = np.random.default_rng(5)
-    report = MetricReport.empty()
+    report = MetricReport()
     pairs = []
     for i in range(3):
         a = img(rng.random((12, 12, 3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -336,21 +337,30 @@ def test_train_loop_empty_dataset():
 
 
 def test_train_loop_rejects_pair_shape_mismatch():
-    # rejected up front for every seed, wherever the crops would have landed
-    for seed in range(4):
-        samples = make_pairs(2)
-        samples[1].target = ImageRGB(samples[1].target.pixels[:16])
-        with pytest.raises(ShapeError, match="s1"):
-            train_loop(samples, small_cfg(steps=3, seed=seed), config=SMALL_MODEL)
+    # a mismatched pair cannot be built, so none reaches train_loop
     samples = make_pairs(2)
-    samples[0].raw = samples[0].raw[:, :16]
+    with pytest.raises(ShapeError, match="s1"):
+        dataclasses.replace(samples[1], target=ImageRGB(samples[1].target.pixels[:16]))
     with pytest.raises(ShapeError, match="s0"):
-        train_loop(samples, small_cfg(steps=3), config=SMALL_MODEL)
+        dataclasses.replace(samples[0], raw=samples[0].raw[:, :16])
+
+
+def test_sample_checks_its_shapes_when_built():
+    a = np.zeros((6, 8, 3), np.float32)
+    Sample(ImageRGB(a), ImageRGB(a), a, name="ok")
+    with pytest.raises(ShapeError, match=r"sample p7: .*\(6, 8, 3\), \(6, 7, 3\)"):
+        Sample(ImageRGB(a), ImageRGB(a[:, :7]), name="p7")
+    with pytest.raises(ShapeError, match=r"sample p8: .*\(5, 8, 3\)\]"):
+        Sample(ImageRGB(a), ImageRGB(a), a[:5], name="p8")
+    with pytest.raises(ShapeError, match="sample <unnamed>"):
+        Sample(ImageRGB(a), ImageRGB(a), a[:, :, :1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Sample(ImageRGB(a), ImageRGB(a)).target = ImageRGB(a[:5])
 
 
 def test_train_loop_mixed_raw_requires_raw():
     samples = make_pairs(2)
-    samples[1].raw = None
+    samples[1] = dataclasses.replace(samples[1], raw=None)
     with pytest.raises(ConfigurationError, match="s1"):
         train_loop(samples, small_cfg(loss="mixed_raw"), config=SMALL_MODEL)
 
@@ -383,7 +393,9 @@ def test_train_loop_nan_abort():
 def test_train_loop_nan_sample_clears_grads():
     # one sample's loss is NaN while the other sample's backward still runs
     samples = make_pairs(2)
-    samples[1].target = ImageRGB(np.full_like(samples[1].target.pixels, np.nan))
+    samples[1] = dataclasses.replace(
+        samples[1], target=ImageRGB(np.full_like(samples[1].target.pixels, np.nan))
+    )
     _assert_diverges_with_no_grads(samples, small_cfg(steps=3))
 
 
